@@ -42,18 +42,8 @@ def _resolve_config_path(spec: str) -> Path:
     raise UserError(f"config not found: {spec}")
 
 
-def _load_records_with_lines(path: Path) -> list[tuple[int, dict]]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-    return out
+# data's JSONL reader under the name perfbench/tracing.py wraps
+_load_records_with_lines = td.read_jsonl
 
 
 def _write_json(path: Path, payload) -> None:
@@ -71,11 +61,11 @@ def cmd_consolidate(args) -> int:
     classed: list[dict] = []
     for path in inputs:
         for lineno, record in _load_records_with_lines(path):
-            if "class" in record and "query" not in record and "label" not in record:
-                classed.append(record)
-                continue
             try:
-                samples.append(td.consolidate(record, record.get("task_type", ""), rng))
+                if td.is_classed(record):
+                    classed.append(record)
+                else:
+                    samples.append(td.consolidate(record, record.get("task_type", ""), rng))
             except SchemaError as e:
                 raise SchemaError(f"{path}:{lineno}: {e}") from e
     samples.extend(td.consolidate_records(classed, rng))
@@ -220,7 +210,7 @@ def cmd_prune(args) -> int:
 def cmd_eval(args) -> int:
     model = tm.load_checkpoint(args.checkpoint, trainable=False)
     tasks = ev.load_tasks(args.tasks)
-    report = ev.evaluate(model, tasks, dim=args.dim, threads=args.threads)
+    report = ev.evaluate(model, tasks, dim=args.dim)
     if args.out:
         ev.write_scores_csv(args.out, report)
     for s in report.scores:
@@ -234,7 +224,7 @@ def cmd_sweep_mrl(args) -> int:
     model = tm.load_checkpoint(args.checkpoint, trainable=False)
     tasks = ev.load_tasks(args.tasks)
     dims = [int(d) for d in args.dims.split(",") if d]
-    rows = ev.mrl_sweep(model, tasks, dims, threads=args.threads)
+    rows = ev.mrl_sweep(model, tasks, dims)
     if args.out:
         ev.write_sweep_csv(args.out, rows)
     for d, score in rows:
@@ -273,7 +263,7 @@ def cmd_ablate(args) -> int:
     for r in range(args.replicates):
         arm_batches = td.epoch_batches(samples, plan.batch_size, random.Random(plan.seed + 1000 + r), plan.epochs, stage=plan.stage)
         arm_plan = replace(plan, epochs=1, loss=student_loss, teacher=plan.teacher or str(args.teacher))
-        result = ev.ablation_distill(pruned, teacher, arm_batches, arm_plan, tasks, threads=args.threads)
+        result = ev.ablation_distill(pruned, teacher, arm_batches, arm_plan, tasks)
         wins += result["delta"] > 0
         replicates.append(result)
         print(
@@ -292,21 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tinyembed", description="Desk-scale embedding-model training pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--seed", type=int, default=0, help="seed for any sampling this command does")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for read-only embedding passes")
-
     p = sub.add_parser("consolidate", help="ingest raw JSONL into canonical contrastive samples")
     p.add_argument("--input", required=True, help="JSONL file or directory of *.jsonl")
     p.add_argument("--out", required=True)
     p.add_argument("--cap", type=int, default=None, help="max samples per source")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for classed pairing and --cap sampling")
     p.set_defaults(fn=cmd_consolidate)
 
     p = sub.add_parser("stats", help="per-source/format/task-type counts of a canonical file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
-    common(p)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("mine", help="mine hard negatives with a checkpoint embedder")
@@ -316,14 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-top", type=int, default=1)
     p.add_argument("--mode", choices=("replace", "extend"), default="replace")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(fn=cmd_mine)
 
     p = sub.add_parser("train", help="run one training stage from a plan file")
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", default=None, help="checkpoint dir to continue from")
-    common(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("prune", help="structured pruning of a checkpoint")
@@ -334,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-mlp", type=int, required=True)
     p.add_argument("--target-layers", type=int, required=True)
     p.add_argument("--layer-strategy", choices=("first_n", "norm_change"), default="first_n")
+    p.add_argument("--seed", type=int, default=0, help="seed for calibration sampling")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(fn=cmd_prune)
 
     p = sub.add_parser("eval", help="score a checkpoint on task files")
@@ -343,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--out", default=None, help="per-task CSV path")
-    common(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("sweep-mrl", help="evaluate at several truncation dimensions")
@@ -351,12 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", required=True)
     p.add_argument("--dims", required=True, help="comma-separated ascending dims, e.g. 8,16,32")
     p.add_argument("--out", default=None)
-    common(p)
     p.set_defaults(fn=cmd_sweep_mrl)
 
     p = sub.add_parser("param-count", help="analytic parameter count for a config")
     p.add_argument("--config", required=True, help="path or shipped name (e.g. table1/0.6B.json)")
-    common(p)
     p.set_defaults(fn=cmd_param_count)
 
     p = sub.add_parser("ablate", help="paired with/without-distillation training from a pruned teacher")
@@ -369,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-size", type=int, default=64)
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--out", default=None)
-    common(p)
     p.set_defaults(fn=cmd_ablate)
 
     return parser

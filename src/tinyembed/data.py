@@ -174,6 +174,16 @@ def consolidate(record: dict, task_kind: str, rng: random.Random) -> CanonicalSa
     raise SchemaError("unknown schema: record has none of the fields query / label / classes")
 
 
+def is_classed(record: dict) -> bool:
+    """True for a per-text classed record, which consolidate_records groups
+    with its class before it becomes a sample. Raises SchemaError when such a
+    record misses a field, so callers can check it where they know its line."""
+    if "class" not in record or "query" in record or "label" in record:
+        return False
+    _require(record, ("text", "class", "source", "task_type"), "classed")
+    return True
+
+
 def consolidate_records(records: Iterable[dict], rng: random.Random) -> list[CanonicalSample]:
     """Consolidate a stream of raw records, grouping per-text classed records.
 
@@ -184,8 +194,7 @@ def consolidate_records(records: Iterable[dict], rng: random.Random) -> list[Can
     samples: list[CanonicalSample] = []
     classed: dict[tuple[str, str], dict[str, list[str]]] = defaultdict(lambda: defaultdict(list))
     for record in records:
-        if "class" in record and "query" not in record and "label" not in record:
-            _require(record, ("text", "class", "source", "task_type"), "classed")
+        if is_classed(record):
             classed[(record["source"], record["task_type"])][record["class"]].append(record["text"])
         else:
             samples.append(consolidate(record, record.get("task_type", ""), rng))
@@ -344,7 +353,8 @@ def stats_report(samples: list[CanonicalSample]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """(line number, record) for every non-blank line; bad JSON names its path:line."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -352,14 +362,22 @@ def read_jsonl(path: str | Path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as e:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
     return records
 
 
 def read_samples(path: str | Path) -> list[CanonicalSample]:
-    return [CanonicalSample.from_dict(d) for d in read_jsonl(path)]
+    samples = []
+    for lineno, record in read_jsonl(path):
+        try:
+            samples.append(CanonicalSample.from_dict(record))
+        except KeyError as e:
+            raise SchemaError(f"{path}:{lineno}: canonical record missing field {e}") from e
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"{path}:{lineno}: {e}") from e
+    return samples
 
 
 def write_samples(path: str | Path, samples: Iterable[CanonicalSample]) -> None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,35 +183,21 @@ def pair_accuracy(pair_embeddings: np.ndarray, labels: list[int]) -> tuple[float
 class _EmbedCache:
     """Raw EOS embeddings computed once per unique text; truncation applied per use."""
 
-    def __init__(self, model: EmbeddingModel, threads: int = 1):
+    def __init__(self, model: EmbeddingModel):
         self.model = model
-        self.threads = max(1, threads)
         self.raw: dict[str, np.ndarray] = {}
         self.requests = 0
         self.hits = 0
 
-    def _compute(self, text: str) -> np.ndarray:
-        with ad.no_grad():
-            toks = tokenize(text, self.model.config.max_seq_len)
-            return raw_sequence_embedding(self.model, toks).values[0].copy()
-
     def warm(self, texts: list[str]) -> None:
-        todo = []
-        seen = set()
-        for t in texts:
-            self.requests += 1
-            if t in self.raw or t in seen:
-                self.hits += 1
-            else:
-                seen.add(t)
-                todo.append(t)
-        if self.threads > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                for text, emb in zip(todo, pool.map(self._compute, todo)):
-                    self.raw[text] = emb
-        else:
-            for text in todo:
-                self.raw[text] = self._compute(text)
+        max_len = self.model.config.max_seq_len
+        with ad.no_grad():
+            for text in texts:
+                self.requests += 1
+                if text in self.raw:
+                    self.hits += 1
+                else:
+                    self.raw[text] = raw_sequence_embedding(self.model, tokenize(text, max_len)).values[0].copy()
 
     def unit(self, text: str, dim: int | None) -> np.ndarray:
         raw = self.raw.get(text)
@@ -258,13 +243,11 @@ def _score_task(task: EvalTask, cache: _EmbedCache, dim: int | None) -> float:
     return best_threshold_accuracy(sims, task.labels)[0]
 
 
-def evaluate(
-    model: EmbeddingModel, tasks: list[EvalTask], dim: int | None = None, threads: int = 1
-) -> EvalReport:
+def evaluate(model: EmbeddingModel, tasks: list[EvalTask], dim: int | None = None) -> EvalReport:
     """Score every task at an optional truncation dimension; one embedding per unique text."""
     if dim is not None and not 1 <= dim <= model.config.hidden_size:
         raise ValueError(f"dim {dim} out of range [1, {model.config.hidden_size}]")
-    cache = _EmbedCache(model, threads=threads)
+    cache = _EmbedCache(model)
     for task in tasks:
         cache.warm(task.texts())
     scores = [TaskScore(t.name, t.kind, _score_task(t, cache, dim)) for t in tasks]
@@ -272,9 +255,7 @@ def evaluate(
     return EvalReport(scores, mean, len(cache.raw), cache.requests, cache.hits)
 
 
-def mrl_sweep(
-    model: EmbeddingModel, tasks: list[EvalTask], dims: list[int], threads: int = 1
-) -> list[tuple[int, float]]:
+def mrl_sweep(model: EmbeddingModel, tasks: list[EvalTask], dims: list[int]) -> list[tuple[int, float]]:
     """Mean score at each truncation dimension; embeddings computed once."""
     if not tasks:
         raise ValueError("mrl_sweep needs at least one task")
@@ -282,7 +263,7 @@ def mrl_sweep(
         raise ValueError("dims must be ascending and distinct")
     if dims[0] < 8 or dims[-1] > model.config.hidden_size:
         raise ValueError(f"dims must lie within [8, {model.config.hidden_size}]")
-    cache = _EmbedCache(model, threads=threads)
+    cache = _EmbedCache(model)
     for task in tasks:
         cache.warm(task.texts())
     rows = []
@@ -317,7 +298,6 @@ def ablation_distill(
     data: list[Batch],
     plan: StagePlan,
     tasks: list[EvalTask],
-    threads: int = 1,
 ) -> dict:
     """Train two arms from the same pruned initialization — with distillation
     (the plan's weight) and without (weight 0, no teacher) — under identical
@@ -332,8 +312,8 @@ def ablation_distill(
     plan_plain = dc_replace(plan, teacher=None, loss=dc_replace(plan.loss, distill_weight=0.0))
     train_stage(distilled, data, plan_distilled, teacher=teacher)
     train_stage(plain, data, plan_plain)
-    with_score = evaluate(distilled, tasks, threads=threads).mean
-    without_score = evaluate(plain, tasks, threads=threads).mean
+    with_score = evaluate(distilled, tasks).mean
+    without_score = evaluate(plain, tasks).mean
     return {
         "with_distillation": with_score,
         "without_distillation": without_score,

@@ -51,33 +51,43 @@ class ModelConfig:
             return cls(**json.load(f))
 
 
-def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """Ordered (name, shape, kind) for every parameter; kind is 'weight' or 'gain'.
+def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str, tuple[str, ...]]]:
+    """Ordered (name, shape, kind, axes) for every parameter. axes labels each
+    dimension (vocab / hidden / q / kv / head / mlp) and fixes its size; kind is
+    'gain' for the one-axis norm gains and 'weight' otherwise.
 
     This list is the single source of truth for init order, checkpoint
-    manifest order, and parameter accounting.
+    manifest order, parameter accounting, and which axes pruning slices.
     """
-    h, m = config.hidden_size, config.mlp_intermediate_size
-    q_dim = config.num_heads * config.head_dim
-    kv_dim = config.num_kv_heads * config.head_dim
-    specs: list[tuple[str, tuple[int, ...], str]] = [("token_embedding", (config.vocab_size, h), "weight")]
+    size = {
+        "vocab": config.vocab_size,
+        "hidden": config.hidden_size,
+        "q": config.num_heads * config.head_dim,
+        "kv": config.num_kv_heads * config.head_dim,
+        "head": config.head_dim,
+        "mlp": config.mlp_intermediate_size,
+    }
+    layout = [("token_embedding", ("vocab", "hidden"))]
     for i in range(config.num_layers):
         p = f"layers.{i}."
-        specs += [
-            (p + "attn_norm", (h,), "gain"),
-            (p + "q_proj", (h, q_dim), "weight"),
-            (p + "k_proj", (h, kv_dim), "weight"),
-            (p + "v_proj", (h, kv_dim), "weight"),
-            (p + "q_norm", (config.head_dim,), "gain"),
-            (p + "k_norm", (config.head_dim,), "gain"),
-            (p + "o_proj", (q_dim, h), "weight"),
-            (p + "mlp_norm", (h,), "gain"),
-            (p + "gate_proj", (h, m), "weight"),
-            (p + "up_proj", (h, m), "weight"),
-            (p + "down_proj", (m, h), "weight"),
+        layout += [
+            (p + "attn_norm", ("hidden",)),
+            (p + "q_proj", ("hidden", "q")),
+            (p + "k_proj", ("hidden", "kv")),
+            (p + "v_proj", ("hidden", "kv")),
+            (p + "q_norm", ("head",)),
+            (p + "k_norm", ("head",)),
+            (p + "o_proj", ("q", "hidden")),
+            (p + "mlp_norm", ("hidden",)),
+            (p + "gate_proj", ("hidden", "mlp")),
+            (p + "up_proj", ("hidden", "mlp")),
+            (p + "down_proj", ("mlp", "hidden")),
         ]
-    specs.append(("final_norm", (h,), "gain"))
-    return specs
+    layout.append(("final_norm", ("hidden",)))
+    return [
+        (name, tuple(size[a] for a in axes), "gain" if len(axes) == 1 else "weight", axes)
+        for name, axes in layout
+    ]
 
 
 def param_count(config: ModelConfig) -> int:
@@ -120,7 +130,7 @@ def init_model(config: ModelConfig, seed: int) -> EmbeddingModel:
     """Weights ~ N(0, 0.02^2), norm gains 1; deterministic given seed."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    for name, shape, kind in param_specs(config):
+    for name, shape, kind, _ in param_specs(config):
         if kind == "gain":
             values = np.ones(shape, dtype=np.float32)
         else:
@@ -229,7 +239,7 @@ def embed_text(model: EmbeddingModel, text: str) -> np.ndarray:
 
 
 def flatten_params(model: EmbeddingModel) -> np.ndarray:
-    return np.concatenate([model.params[name].values.reshape(-1) for name, _, _ in param_specs(model.config)])
+    return np.concatenate([model.params[name].values.reshape(-1) for name, _, _, _ in param_specs(model.config)])
 
 
 def model_from_flat(config: ModelConfig, flat: Tensor) -> EmbeddingModel:
@@ -237,7 +247,7 @@ def model_from_flat(config: ModelConfig, flat: Tensor) -> EmbeddingModel:
     row = ad.reshape(flat, (1, flat.values.size))
     params: dict[str, Tensor] = {}
     offset = 0
-    for name, shape, _ in param_specs(config):
+    for name, shape, _, _ in param_specs(config):
         size = int(np.prod(shape))
         params[name] = ad.reshape(ad.slice_cols(row, offset, offset + size), shape)
         offset += size
@@ -259,7 +269,7 @@ def save_checkpoint(model: EmbeddingModel, out_dir: str | Path) -> None:
     manifest = []
     offset = 0
     blobs = []
-    for name, shape, _ in param_specs(model.config):
+    for name, shape, _, _ in param_specs(model.config):
         values = model.params[name].values
         if tuple(values.shape) != shape:
             raise ad.ShapeError(f"checkpoint: parameter {name} has shape {values.shape}, expected {shape}")
@@ -279,7 +289,7 @@ def load_checkpoint(ckpt_dir: str | Path, trainable: bool = True) -> EmbeddingMo
     with open(ckpt / "manifest.json") as f:
         manifest = json.load(f)
     raw = (ckpt / "weights.bin").read_bytes()
-    expected = {name: shape for name, shape, _ in param_specs(config)}
+    expected = {name: shape for name, shape, _, _ in param_specs(config)}
     if [e["name"] for e in manifest] != list(expected):
         raise ValueError("checkpoint manifest does not match config parameter list")
     params: dict[str, Tensor] = {}

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import EmbeddingModel, ModelConfig, TapRecorder, forward_hidden
+from .model import EmbeddingModel, ModelConfig, TapRecorder, forward_hidden, param_specs
 
 LAYER_STRATEGIES = ("first_n", "norm_change")
 
@@ -108,11 +108,11 @@ def prune_model(
 ) -> tuple[EmbeddingModel, dict]:
     """Slice a trained model down to the spec targets.
 
-    Hidden channels keep the global top-k by residual-stream norm (embedding
-    columns, Q/K/V input rows, O output columns, MLP input rows / down output
-    columns, and the norm gains all shrink together). MLP channels are ranked
-    per layer. Layers keep the first n by default. Returns the smaller model
-    and a report of kept indices plus the norm vectors.
+    Hidden channels keep the global top-k by residual-stream norm; every
+    parameter axis that param_specs labels "hidden" shrinks together. MLP
+    channels are ranked per layer and slice the "mlp" axes. Layers keep the
+    first n by default. Returns the smaller model and a report of kept indices
+    plus the norm vectors.
     """
     cfg = model.config
     spec.validate(cfg)
@@ -134,25 +134,19 @@ def prune_model(
         else:
             kept_mlp.append(list(range(spec.target_mlp)))
 
-    hid = np.asarray(kept_hidden, dtype=np.intp)
-    src = model.params
-    params: dict[str, Tensor] = {"token_embedding": Tensor(src["token_embedding"].values[:, hid].copy(), requires_grad=True)}
-    for new_idx, (layer, mlp_idx) in enumerate(zip(kept_layers, kept_mlp)):
-        mlp = np.asarray(mlp_idx, dtype=np.intp)
-        old = f"layers.{layer}."
-        new = f"layers.{new_idx}."
-        params[new + "attn_norm"] = Tensor(src[old + "attn_norm"].values[hid].copy(), requires_grad=True)
-        params[new + "q_proj"] = Tensor(src[old + "q_proj"].values[hid, :].copy(), requires_grad=True)
-        params[new + "k_proj"] = Tensor(src[old + "k_proj"].values[hid, :].copy(), requires_grad=True)
-        params[new + "v_proj"] = Tensor(src[old + "v_proj"].values[hid, :].copy(), requires_grad=True)
-        params[new + "q_norm"] = Tensor(src[old + "q_norm"].values.copy(), requires_grad=True)
-        params[new + "k_norm"] = Tensor(src[old + "k_norm"].values.copy(), requires_grad=True)
-        params[new + "o_proj"] = Tensor(src[old + "o_proj"].values[:, hid].copy(), requires_grad=True)
-        params[new + "mlp_norm"] = Tensor(src[old + "mlp_norm"].values[hid].copy(), requires_grad=True)
-        params[new + "gate_proj"] = Tensor(src[old + "gate_proj"].values[np.ix_(hid, mlp)].copy(), requires_grad=True)
-        params[new + "up_proj"] = Tensor(src[old + "up_proj"].values[np.ix_(hid, mlp)].copy(), requires_grad=True)
-        params[new + "down_proj"] = Tensor(src[old + "down_proj"].values[np.ix_(mlp, hid)].copy(), requires_grad=True)
-    params["final_norm"] = Tensor(src["final_norm"].values[hid].copy(), requires_grad=True)
+    small_cfg = pruned_config(cfg, spec)
+    params: dict[str, Tensor] = {}
+    for name, _, _, axes in param_specs(small_cfg):
+        source, keep = name, {"hidden": kept_hidden}
+        if name.startswith("layers."):
+            _, new_idx, leaf = name.split(".")
+            source = f"layers.{kept_layers[int(new_idx)]}.{leaf}"
+            keep["mlp"] = kept_mlp[int(new_idx)]
+        values = model.params[source].values
+        for axis, label in enumerate(axes):
+            if label in keep:
+                values = np.take(values, keep[label], axis=axis)
+        params[name] = Tensor(values.copy(), requires_grad=True)
 
     report = {
         "kept_hidden": kept_hidden,
@@ -162,7 +156,7 @@ def prune_model(
         "hidden_norms": None if norms is None else norms.hidden_norms.tolist(),
         "mlp_norms": None if norms is None else [v.tolist() for v in norms.mlp_norms],
     }
-    return EmbeddingModel(pruned_config(cfg, spec), params), report
+    return EmbeddingModel(small_cfg, params), report
 
 
 def sliced_forward_oracle(

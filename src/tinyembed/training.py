@@ -55,10 +55,6 @@ class LossConfig:
     def weights(self) -> tuple[float, ...]:
         return self.mrl_weights if self.mrl_weights is not None else (1.0,) * len(self.mrl_dims)
 
-    @classmethod
-    def for_hidden(cls, hidden_size: int, **kwargs) -> "LossConfig":
-        return cls(mrl_dims=default_mrl_dims(hidden_size), **kwargs)
-
 
 @dataclass
 class StagePlan:
@@ -273,6 +269,52 @@ def _embed_rows(model: EmbeddingModel, texts: list[str], cache: dict[str, list[i
     return rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
 
 
+def _train_step(
+    model: EmbeddingModel,
+    batch: Batch,
+    plan: StagePlan,
+    opt: OptimizerState,
+    step: int,
+    teacher: EmbeddingModel | None,
+    token_cache: dict[str, list[int]],
+    teacher_cache: dict[str, np.ndarray],
+) -> StepMetrics:
+    """One batch: forward, loss, backward and an AdamW update. The step's graph
+    is dropped on return, before the next batch builds its own."""
+    try:
+        queries, positives, negatives = _batch_texts(batch)
+        raw_q = _embed_rows(model, queries, token_cache)
+        raw_p = _embed_rows(model, positives, token_cache)
+        raw_n = [_embed_rows(model, negs, token_cache) if negs else None for negs in negatives]
+        contrastive = matryoshka_info_nce(raw_q, raw_p, raw_n, plan.loss, use_in_batch=batch.uses_in_batch_negatives)
+        if teacher is not None:
+            all_texts = queries + positives + [n for negs in negatives for n in negs]
+            student_rows = [raw_q, raw_p] + [t for t in raw_n if t is not None]
+            student_unit = ad.l2_normalize_rows(ad.concat(student_rows, axis=0))
+            teacher_rows = []
+            with ad.no_grad():
+                for text in all_texts:
+                    emb = teacher_cache.get(text)
+                    if emb is None:
+                        toks = tokenize(text, teacher.config.max_seq_len)
+                        raw = raw_sequence_embedding(teacher, toks).values[0]
+                        emb = raw / np.linalg.norm(raw)
+                        teacher_cache[text] = emb
+                    teacher_rows.append(emb)
+            dloss = distill_loss(student_unit, np.stack(teacher_rows))
+            total = ad.add(contrastive, ad.scale(dloss, plan.loss.distill_weight))
+            dval = float(dloss.values)
+        else:
+            total = contrastive
+            dval = 0.0
+        ad.backward(total)
+    except NonFiniteError as e:
+        raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
+    params = model.parameters()
+    adamw_step(params, {k: p.grad for k, p in params.items()}, opt, plan.learning_rate)
+    return StepMetrics(step, float(total.values), float(contrastive.values), dval)
+
+
 def train_stage(
     model: EmbeddingModel,
     data: list[Batch],
@@ -297,10 +339,8 @@ def train_stage(
         raise ValueError(
             f"teacher hidden size {teacher.config.hidden_size} smaller than student's {model.config.hidden_size}"
         )
-    lam = plan.loss.distill_weight
-    distilling = teacher is not None and lam > 0
-    params = model.parameters()
-    opt = OptimizerState.for_params(params)
+    distill_from = teacher if plan.loss.distill_weight > 0 else None
+    opt = OptimizerState.for_params(model.parameters())
     metrics: list[StepMetrics] = []
     token_cache: dict[str, list[int]] = {}
     teacher_cache: dict[str, np.ndarray] = {}
@@ -308,41 +348,7 @@ def train_stage(
     for _ in range(plan.epochs):
         for batch in data:
             step += 1
-            try:
-                queries, positives, negatives = _batch_texts(batch)
-                raw_q = _embed_rows(model, queries, token_cache)
-                raw_p = _embed_rows(model, positives, token_cache)
-                raw_n = [
-                    _embed_rows(model, negs, token_cache) if negs else None for negs in negatives
-                ]
-                contrastive = matryoshka_info_nce(
-                    raw_q, raw_p, raw_n, plan.loss, use_in_batch=batch.uses_in_batch_negatives
-                )
-                if distilling:
-                    all_texts = queries + positives + [n for negs in negatives for n in negs]
-                    student_rows = [raw_q, raw_p] + [t for t in raw_n if t is not None]
-                    student_unit = ad.l2_normalize_rows(ad.concat(student_rows, axis=0))
-                    teacher_rows = []
-                    with ad.no_grad():
-                        for text in all_texts:
-                            emb = teacher_cache.get(text)
-                            if emb is None:
-                                toks = tokenize(text, teacher.config.max_seq_len)
-                                raw = raw_sequence_embedding(teacher, toks).values[0]
-                                emb = raw / np.linalg.norm(raw)
-                                teacher_cache[text] = emb
-                            teacher_rows.append(emb)
-                    dloss = distill_loss(student_unit, np.stack(teacher_rows))
-                    total = ad.add(contrastive, ad.scale(dloss, lam))
-                    dval = float(dloss.values)
-                else:
-                    total = contrastive
-                    dval = 0.0
-                ad.backward(total)
-            except NonFiniteError as e:
-                raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
-            adamw_step(params, {k: p.grad for k, p in params.items()}, opt, plan.learning_rate)
-            metrics.append(StepMetrics(step, float(total.values), float(contrastive.values), dval))
+            metrics.append(_train_step(model, batch, plan, opt, step, distill_from, token_cache, teacher_cache))
     if metrics_path is not None:
         write_metrics_csv(metrics_path, metrics)
     if checkpoint_dir is not None:

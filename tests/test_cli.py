@@ -93,11 +93,13 @@ def test_consolidate_cap_applies(tmp_path):
 
 
 def test_consolidate_malformed_record_exit_2(tmp_path, capsys):
-    raw = tmp_path / "raw"
-    raw.mkdir()
-    (raw / "bad.jsonl").write_text('{"query": "q", "pos": "d", "source": "s", "task_type": "qa"}\n{"query": "q2"}\n')
-    assert main(["consolidate", "--input", str(raw), "--out", str(tmp_path / "out")]) == 2
-    assert "bad.jsonl:2" in capsys.readouterr().err
+    good = '{"query": "q", "pos": "d", "source": "s", "task_type": "qa"}\n'
+    for name, bad in (("retrieval", '{"query": "q2"}'), ("classed", '{"class": "y"}')):
+        raw = tmp_path / name
+        raw.mkdir()
+        (raw / "bad.jsonl").write_text(good + bad + "\n")
+        assert main(["consolidate", "--input", str(raw), "--out", str(tmp_path / "out")]) == 2
+        assert "bad.jsonl:2" in capsys.readouterr().err
 
 
 def test_consolidate_empty_input_ok(tmp_path):
@@ -113,6 +115,38 @@ def test_stats_command(tmp_path, capsys):
     assert main(["stats", "--input", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["total"] == 12
+
+
+CANONICAL = {"format": "Retrieval", "query": "q", "positive": "p", "negatives": [], "source": "s",
+             "task_type": "qa", "symmetric": False}
+
+
+@pytest.mark.parametrize("bad", [
+    {k: v for k, v in CANONICAL.items() if k != "positive"},
+    {**CANONICAL, "format": "Nope"},
+    {**CANONICAL, "format": "Clustering"},
+], ids=["missing-positive", "unknown-format", "clustering-without-negatives"])
+def test_stats_bad_canonical_record_exit_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(CANONICAL) + "\n" + json.dumps(bad) + "\n")
+    assert main(["stats", "--input", str(path)]) == 2
+    assert "bad.jsonl:2" in capsys.readouterr().err
+
+
+def test_no_flag_is_accepted_and_ignored():
+    import argparse
+
+    from tinyembed.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in p._actions for s in a.option_strings} for name, p in sub.choices.items()}
+    assert len(flags) == 9
+    assert {name for name, opts in flags.items() if "--seed" in opts} == {"consolidate", "prune"}
+    assert not any("--threads" in opts for opts in flags.values())
+    for argv in (["stats", "--input", "x", "--seed", "1"], ["eval", "--checkpoint", "c", "--tasks", "t", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 # --- train / resume ------------------------------------------------------------

@@ -175,14 +175,6 @@ def test_evaluate_empty_task_list():
     assert report.scores == [] and report.mean is None
 
 
-def test_evaluate_threads_match_single_thread():
-    model = init_model(TINY, seed=1)
-    tasks = small_tasks(seed=2)
-    a = ev.evaluate(model, tasks, threads=1)
-    b = ev.evaluate(model, tasks, threads=4)
-    assert [s.score for s in a.scores] == [s.score for s in b.scores]
-
-
 def test_evaluate_dim_validation():
     model = init_model(TINY, seed=0)
     with pytest.raises(ValueError, match="out of range"):

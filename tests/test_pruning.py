@@ -1,11 +1,13 @@
 """Activation-norm collection and structured-pruning exactness tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tinyembed import autodiff as ad
 from tinyembed import pruning as tp
-from tinyembed.model import ModelConfig, forward_hidden, init_model, param_count
+from tinyembed.model import EmbeddingModel, ModelConfig, forward_hidden, init_model, param_count
 from tinyembed.pruning import ChannelNorms, PruneSpec
 from tinyembed.tokenizer import EOS_ID, tokenize
 
@@ -139,6 +141,37 @@ def test_pruned_forward_equals_sliced_oracle_bitwise():
             got = forward_hidden(small, toks).values
         want = tp.sliced_forward_oracle(model, report["kept_hidden"], report["kept_mlp_per_layer"], spec.target_layers, toks)
         np.testing.assert_array_equal(got, want)
+
+
+def test_norm_change_pruned_forward_equals_sliced_oracle_bitwise():
+    # The oracle slices the first n layers, so hand it a copy of the source
+    # holding only the kept layers, renumbered from 0.
+    rng = np.random.default_rng(15)
+    gapped = 0
+    for trial in range(8):
+        cfg = replace(CFG, num_layers=int(rng.integers(2, 5)), num_kv_heads=int(rng.choice([1, 2])))
+        model = init_model(cfg, seed=trial)
+        spec = PruneSpec(
+            target_hidden=int(rng.integers(1, cfg.hidden_size + 1)),
+            target_mlp=int(rng.integers(1, cfg.mlp_intermediate_size + 1)),
+            target_layers=int(rng.integers(1, cfg.num_layers)),
+            calibration=calibration(n=2, seed=trial),
+        )
+        small, report = tp.prune_model(model, spec, layer_strategy="norm_change")
+        kept = report["kept_layers"]
+        gapped += any(b - a > 1 for a, b in zip(kept, kept[1:]))
+        params = {name: t for name, t in model.params.items() if not name.startswith("layers.")}
+        for new, old in enumerate(kept):
+            for name, t in model.params.items():
+                if name.startswith(f"layers.{old}."):
+                    params[f"layers.{new}." + name.split(".", 2)[2]] = t
+        renumbered = EmbeddingModel(replace(cfg, num_layers=len(kept)), params)
+        toks = list(rng.integers(0, 256, size=9)) + [EOS_ID]
+        with ad.no_grad():
+            got = forward_hidden(small, toks).values
+        want = tp.sliced_forward_oracle(renumbered, report["kept_hidden"], report["kept_mlp_per_layer"], len(kept), toks)
+        assert np.array_equal(got, want)
+    assert gapped > 0
 
 
 def test_kept_channels_are_top_k_of_collected_norms():
