@@ -24,6 +24,7 @@ from .model import (
     ModelConfig,
     embed_sequence,
     embed_text,
+    embed_texts,
     forward_hidden,
     init_model,
     load_checkpoint,

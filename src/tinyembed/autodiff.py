@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,25 +185,75 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make("scale", a.values * s, (a,), vjp)
 
 
-@_primitive("row_softmax", "row-wise softmax, optionally masked (masked entries get probability 0)")
-def row_softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    av = a.values
-    _shape_check("row_softmax", av.ndim == 2, av.shape)
-    if mask is None:
-        m = av.max(axis=1, keepdims=True)
-        e = np.exp(av - m)
-    else:
-        _shape_check("row_softmax", mask.shape == av.shape, mask.shape, av.shape)
-        if not mask.any(axis=1).all():
-            raise ValueError("row_softmax: some row has no unmasked entry")
-        m = np.where(mask, av, -np.inf).max(axis=1, keepdims=True)
-        e = np.where(mask, np.exp(av - m), 0.0)
-    p = e / e.sum(axis=1, keepdims=True)
+@lru_cache(maxsize=64)
+def _causal_mask(n: int) -> np.ndarray:
+    return np.tril(np.ones((n, n), dtype=bool))
 
-    def vjp(g):
-        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
 
-    return _make("row_softmax", p, (a,), vjp)
+def _heads(x: np.ndarray, n: int, heads: int, hd: int) -> np.ndarray:
+    """(n*T, heads*hd) rows -> contiguous (n, heads, T, hd) per-head blocks."""
+    return np.ascontiguousarray(x.reshape(n, -1, heads, hd).transpose(0, 2, 1, 3))
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Inverse of _heads: (n, heads, T, hd) -> (n*T, heads*hd)."""
+    n, heads, t, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(n * t, heads * hd)
+
+
+@_primitive("causal_attention", "causal softmax attention over stacked equal-length sequences, grouped KV heads")
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int, num_seqs: int = 1) -> Tensor:
+    """Rows are num_seqs sequences of equal length T stacked in order; columns are
+    heads of head_dim. Query head h reads KV head h // (q_heads // kv_heads).
+    Scores are q @ k^T as given (scale q beforehand), softmax over positions <= t.
+
+    Every matmul takes contiguous (T, head_dim) and (head_dim, T) operands, or their
+    transposed views in the vjp, exactly as a per-head loop of 2-D matmuls would,
+    so the result rounds the same as that loop."""
+    qa, ka, va = q.values, k.values, v.values
+    shapes = (qa.shape, ka.shape, va.shape)
+    _shape_check("causal_attention", qa.ndim == ka.ndim == 2 and ka.shape == va.shape, *shapes)
+    rows, hd, n = qa.shape[0], head_dim, num_seqs
+    n_kv = ka.shape[1] // hd
+    _shape_check(
+        "causal_attention",
+        rows == ka.shape[0] and rows > 0 and n >= 1 and rows % n == 0 and n_kv > 0
+        and qa.shape[1] % (n_kv * hd) == 0 and ka.shape[1] == n_kv * hd,
+        *shapes,
+    )
+    t, group = rows // n, qa.shape[1] // (n_kv * hd)
+    # (n, kv, group, T, hd) queries against (n, kv, 1, ., .) keys and values
+    q5 = _heads(qa, n, n_kv * group, hd).reshape(n, n_kv, group, t, hd)
+    kt5 = np.ascontiguousarray(ka.reshape(n, t, n_kv, hd).transpose(0, 2, 3, 1))[:, :, None]
+    v5 = _heads(va, n, n_kv, hd)[:, :, None]
+    mask = _causal_mask(t)
+    scores = q5 @ kt5
+    m = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
+    e = np.where(mask, np.exp(scores - m), 0.0)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = p @ v5
+
+    def group_sum(x):
+        # Query heads add into their shared KV head in head order, from zero.
+        acc = np.zeros_like(x[:, :, 0])
+        for j in range(group):
+            acc += x[:, :, j]
+        return acc
+
+    def vjp(gout):
+        g5 = _heads(gout, n, n_kv * group, hd).reshape(n, n_kv, group, t, hd)
+        gp = g5 @ v5.swapaxes(-1, -2)
+        gv = group_sum(p.swapaxes(-1, -2) @ g5)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gq = gs @ kt5.swapaxes(-1, -2)
+        gkt = group_sum(q5.swapaxes(-1, -2) @ gs)
+        return (
+            _rows(gq.reshape(n, n_kv * group, t, hd)),
+            _rows(gkt.swapaxes(-1, -2)),
+            _rows(gv),
+        )
+
+    return _make("causal_attention", _rows(out.reshape(n, n_kv * group, t, hd)), (q, k, v), vjp)
 
 
 @_primitive("rms_norm", "RMS normalization over each row (or row group) with a learned gain")

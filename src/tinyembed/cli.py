@@ -94,9 +94,10 @@ def cmd_mine(args) -> int:
     model = tm.load_checkpoint(args.checkpoint, trainable=False)
     corpus = [s.positive for s in samples]
     queries = [s.query for s in samples]
-    embedder = lambda text: tm.embed_text(model, text)
+    texts = list(dict.fromkeys(corpus + queries))
+    units = dict(zip(texts, tm.embed_texts(model, texts)))
     mined = td.mine_hard_negatives(
-        queries, corpus, embedder, k=args.k, skip_top=args.skip_top, positive_indices=list(range(len(samples)))
+        queries, corpus, units.__getitem__, k=args.k, skip_top=args.skip_top, positive_indices=list(range(len(samples)))
     )
     out = []
     for s, negs in zip(samples, mined):
@@ -217,6 +218,7 @@ def cmd_eval(args) -> int:
         print(f"{s.name} ({s.kind}): {s.score:.4f}")
     if report.mean is not None:
         print(f"mean: {report.mean:.4f}")
+    print(f"embed cache: {report.unique_texts} unique texts, {report.requests} requests, {report.cache_hits} hits")
     return 0
 
 

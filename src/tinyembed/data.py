@@ -247,7 +247,7 @@ def mine_hard_negatives(
             out.append([])
             continue
         sims = doc_embs @ embedder(query)
-        order = sorted(range(len(corpus)), key=lambda j: (-sims[j], j))
+        order = np.argsort(-sims, kind="stable").tolist()
         excluded = set(order[:skip_top])
         excluded.add(pos_idx)
         out.append([corpus[j] for j in order if j not in excluded][:k])

@@ -10,9 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import Batch
-from .model import EmbeddingModel, raw_sequence_embedding
+from .model import EmbeddingModel, raw_embeddings
 from .tokenizer import tokenize
 from .training import StagePlan, train_stage, truncate_and_renorm_array
 
@@ -190,14 +189,15 @@ class _EmbedCache:
         self.hits = 0
 
     def warm(self, texts: list[str]) -> None:
+        new: dict[str, None] = {}
+        for text in texts:
+            self.requests += 1
+            if text in self.raw or text in new:
+                self.hits += 1
+            else:
+                new[text] = None
         max_len = self.model.config.max_seq_len
-        with ad.no_grad():
-            for text in texts:
-                self.requests += 1
-                if text in self.raw:
-                    self.hits += 1
-                else:
-                    self.raw[text] = raw_sequence_embedding(self.model, tokenize(text, max_len)).values[0].copy()
+        self.raw.update(zip(new, raw_embeddings(self.model, [tokenize(t, max_len) for t in new])))
 
     def unit(self, text: str, dim: int | None) -> np.ndarray:
         raw = self.raw.get(text)
@@ -233,7 +233,7 @@ def _score_task(task: EvalTask, cache: _EmbedCache, dim: int | None) -> float:
         per_query = []
         for query, relevant in zip(task.queries, task.relevance):
             sims = doc_matrix @ cache.unit(query, dim)
-            ranking = sorted(range(len(task.corpus)), key=lambda j: (-sims[j], j))
+            ranking = np.argsort(-sims, kind="stable").tolist()
             per_query.append(ndcg_at_k(ranking, relevant, task.k))
         return sum(per_query) / len(per_query)
     if task.kind == "STS":

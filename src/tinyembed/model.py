@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .tokenizer import EOS_ID
+from .tokenizer import EOS_ID, tokenize
 
 RMS_EPS = 1e-6
 INIT_STD = 0.02
@@ -139,17 +138,13 @@ def init_model(config: ModelConfig, seed: int) -> EmbeddingModel:
     return EmbeddingModel(config, params)
 
 
-@lru_cache(maxsize=64)
-def _causal_mask(n: int) -> np.ndarray:
-    return np.tril(np.ones((n, n), dtype=bool))
-
-
 class TapRecorder:
     """Collects intermediate activations (as plain arrays) during a forward pass.
 
     embedding is the residual stream before block 0; residual[i] is the stream
     after block i's output; mlp_act[i] is block i's post-activation MLP state
-    (silu(gate) * up).
+    (silu(gate) * up). Each holds one row per token of the forward, sequences
+    stacked in order.
     """
 
     def __init__(self):
@@ -158,9 +153,7 @@ class TapRecorder:
         self.mlp_act: list[np.ndarray] = []
 
 
-def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder | None = None) -> Tensor:
-    """Hidden-state matrix (seq_len x hidden) with causal attention and final norm."""
-    cfg = model.config
+def _check_tokens(cfg: ModelConfig, tokens: list[int]) -> None:
     for pos, t in enumerate(tokens):
         if not 0 <= t < cfg.vocab_size:
             raise ValueError(f"token id {t} at position {pos} out of range for vocab {cfg.vocab_size}")
@@ -168,12 +161,16 @@ def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder |
         raise ValueError(f"sequence length {len(tokens)} exceeds max_seq_len {cfg.max_seq_len}")
     if not tokens:
         raise ValueError("empty token sequence")
+
+
+def _forward(model: EmbeddingModel, seqs: list[list[int]], taps: TapRecorder | None) -> Tensor:
+    """Final hidden states of equal-length sequences stacked as (n * T, hidden)."""
+    cfg = model.config
     p = model.params
     hd = cfg.head_dim
-    group = cfg.num_heads // cfg.num_kv_heads
-    mask = _causal_mask(len(tokens))
+    positions = np.tile(np.arange(len(seqs[0])), len(seqs))
 
-    h = ad.gather_rows(p["token_embedding"], tokens)
+    h = ad.gather_rows(p["token_embedding"], [t for seq in seqs for t in seq])
     if taps is not None:
         taps.embedding = h.values.copy()
     for i in range(cfg.num_layers):
@@ -184,19 +181,11 @@ def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder |
         v = ad.matmul(x, p[lp + "v_proj"])
         q = ad.rms_norm(q, p[lp + "q_norm"], eps=RMS_EPS, group_size=hd)
         k = ad.rms_norm(k, p[lp + "k_norm"], eps=RMS_EPS, group_size=hd)
-        q = ad.rope(q, hd, base=cfg.rope_base)
-        k = ad.rope(k, hd, base=cfg.rope_base)
+        q = ad.rope(q, hd, base=cfg.rope_base, positions=positions)
+        k = ad.rope(k, hd, base=cfg.rope_base, positions=positions)
         q = ad.scale(q, hd**-0.5)
-        k_heads = [ad.slice_cols(k, g * hd, (g + 1) * hd) for g in range(cfg.num_kv_heads)]
-        v_heads = [ad.slice_cols(v, g * hd, (g + 1) * hd) for g in range(cfg.num_kv_heads)]
-        outs = []
-        for head in range(cfg.num_heads):
-            g = head // group
-            qh = ad.slice_cols(q, head * hd, (head + 1) * hd)
-            scores = ad.matmul(qh, ad.transpose(k_heads[g]))
-            probs = ad.row_softmax(scores, mask=mask)
-            outs.append(ad.matmul(probs, v_heads[g]))
-        h = ad.add(h, ad.matmul(ad.concat(outs, axis=1), p[lp + "o_proj"]))
+        attn = ad.causal_attention(q, k, v, hd, num_seqs=len(seqs))
+        h = ad.add(h, ad.matmul(attn, p[lp + "o_proj"]))
         x = ad.rms_norm(h, p[lp + "mlp_norm"], eps=RMS_EPS)
         act = ad.mul(ad.silu(ad.matmul(x, p[lp + "gate_proj"])), ad.matmul(x, p[lp + "up_proj"]))
         h = ad.add(h, ad.matmul(act, p[lp + "down_proj"]))
@@ -204,6 +193,60 @@ def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder |
             taps.residual.append(h.values.copy())
             taps.mlp_act.append(act.values.copy())
     return ad.rms_norm(h, p["final_norm"], eps=RMS_EPS)
+
+
+def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder | None = None) -> Tensor:
+    """Hidden-state matrix (seq_len x hidden) with causal attention and final norm."""
+    _check_tokens(model.config, tokens)
+    return _forward(model, [tokens], taps)
+
+
+# Most tokens one no-grad forward stacks: bounds the scores and taps held at once.
+MAX_FORWARD_TOKENS = 128
+
+
+def length_chunks(token_seqs: list[list[int]]) -> list[list[int]]:
+    """Indices of token_seqs split into forward chunks of equal token length (input
+    order within a length), each at most MAX_FORWARD_TOKENS tokens or one sequence.
+
+    Equal lengths need no padding, so no pad position can reach a result; every
+    row rounds as it would in a forward of its sequence alone.
+    """
+    by_len: dict[int, list[int]] = {}
+    for i, seq in enumerate(token_seqs):
+        by_len.setdefault(len(seq), []).append(i)
+    chunks = []
+    for t, idx in sorted(by_len.items()):
+        # numpy sends a one-row matmul to BLAS gemv, which rounds unlike gemm,
+        # so one-token sequences go one at a time.
+        per = 1 if t == 1 else max(1, MAX_FORWARD_TOKENS // t)
+        chunks += [idx[s : s + per] for s in range(0, len(idx), per)]
+    return chunks
+
+
+def forward_chunks(model: EmbeddingModel, token_seqs: list[list[int]], taps: bool = False):
+    """Yield (indices, stacked final hidden states, TapRecorder or None) per length
+    chunk, without gradients. Rows of the hidden states are the chunk's sequences
+    in index order, len(token_seqs[i]) rows each."""
+    for seq in token_seqs:
+        _check_tokens(model.config, seq)
+    for idx in length_chunks(token_seqs):
+        recorder = TapRecorder() if taps else None
+        with ad.no_grad():
+            hidden = _forward(model, [token_seqs[i] for i in idx], recorder)
+        yield idx, hidden.values, recorder
+
+
+def raw_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) -> np.ndarray:
+    """Unnormalized EOS hidden states of many sequences, (len(token_seqs), hidden),
+    without gradients; row i equals raw_sequence_embedding(model, token_seqs[i])."""
+    for seq in token_seqs:
+        _check_terminal_eos(seq)
+    out = np.empty((len(token_seqs), model.config.hidden_size), dtype=model.params["final_norm"].values.dtype)
+    for idx, hidden, _ in forward_chunks(model, token_seqs):
+        t = len(token_seqs[idx[0]])
+        out[idx] = hidden[t - 1 :: t]
+    return out
 
 
 def _check_terminal_eos(tokens: list[int]) -> None:
@@ -227,10 +270,15 @@ def embed_sequence(model: EmbeddingModel, tokens: list[int]) -> Tensor:
 
 def embed_text(model: EmbeddingModel, text: str) -> np.ndarray:
     """Inference-mode unit embedding of a text string, shape (hidden,)."""
-    from .tokenizer import tokenize
-
     with ad.no_grad():
         return embed_sequence(model, tokenize(text, model.config.max_seq_len)).values[0].copy()
+
+
+def embed_texts(model: EmbeddingModel, texts: list[str]) -> np.ndarray:
+    """embed_text of many texts at once, shape (len(texts), hidden)."""
+    raw = raw_embeddings(model, [tokenize(t, model.config.max_seq_len) for t in texts])
+    with ad.no_grad():
+        return ad.l2_normalize_rows(Tensor(raw)).values
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import EmbeddingModel, ModelConfig, TapRecorder, forward_hidden, param_specs
+from .model import EmbeddingModel, ModelConfig, forward_chunks, forward_hidden, param_specs
 
 LAYER_STRATEGIES = ("first_n", "norm_change")
 
@@ -49,25 +49,36 @@ class ChannelNorms:
 
 
 def collect_activation_norms(model: EmbeddingModel, calibration: list[list[int]]) -> ChannelNorms:
-    """L2 norms over all (sequence, position) pairs, per hidden and per MLP channel."""
+    """L2 norms over all (sequence, position) pairs, per hidden and per MLP channel.
+
+    Sequences are forwarded in length chunks; each sequence's per-layer partial
+    sums are added in calibration order, so the float64 totals round exactly as
+    one forward per sequence would.
+    """
     if not calibration:
         raise ValueError("empty calibration set")
     cfg = model.config
+    partials: list[list[tuple[np.ndarray, np.ndarray, float]]] = [[] for _ in calibration]
+    for idx, _, taps in forward_chunks(model, calibration, taps=True):
+        t = len(calibration[idx[0]])
+        for j, seq_index in enumerate(idx):
+            rows = slice(j * t, (j + 1) * t)
+            prev = taps.embedding[rows]
+            for res, act in zip(taps.residual, taps.mlp_act):
+                res, act = res[rows], act[rows]
+                change = np.abs(np.linalg.norm(res, axis=1).astype(np.float64) - np.linalg.norm(prev, axis=1)).sum()
+                partials[seq_index].append(
+                    ((res.astype(np.float64) ** 2).sum(axis=0), (act.astype(np.float64) ** 2).sum(axis=0), change)
+                )
+                prev = res
     ssq_hidden = np.zeros(cfg.hidden_size, dtype=np.float64)
     ssq_mlp = [np.zeros(cfg.mlp_intermediate_size, dtype=np.float64) for _ in range(cfg.num_layers)]
     delta = np.zeros(cfg.num_layers, dtype=np.float64)
-    with ad.no_grad():
-        for seq in calibration:
-            taps = TapRecorder()
-            forward_hidden(model, seq, taps=taps)
-            prev = taps.embedding
-            for i, (res, act) in enumerate(zip(taps.residual, taps.mlp_act)):
-                ssq_hidden += (res.astype(np.float64) ** 2).sum(axis=0)
-                ssq_mlp[i] += (act.astype(np.float64) ** 2).sum(axis=0)
-                delta[i] += np.abs(
-                    np.linalg.norm(res, axis=1).astype(np.float64) - np.linalg.norm(prev, axis=1)
-                ).sum()
-                prev = res
+    for layers in partials:
+        for i, (hidden, mlp, change) in enumerate(layers):
+            ssq_hidden += hidden
+            ssq_mlp[i] += mlp
+            delta[i] += change
     return ChannelNorms(
         hidden_norms=np.sqrt(ssq_hidden),
         mlp_norms=[np.sqrt(s) for s in ssq_mlp],

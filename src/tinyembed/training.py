@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteError, ShapeError, Tensor
 from .data import RETRIEVAL, Batch
-from .model import EmbeddingModel, raw_sequence_embedding, save_checkpoint
+from .model import EmbeddingModel, raw_embeddings, raw_sequence_embedding, save_checkpoint
 from .tokenizer import tokenize
 
 
@@ -291,17 +291,11 @@ def _train_step(
             all_texts = queries + positives + [n for negs in negatives for n in negs]
             student_rows = [raw_q, raw_p] + [t for t in raw_n if t is not None]
             student_unit = ad.l2_normalize_rows(ad.concat(student_rows, axis=0))
-            teacher_rows = []
-            with ad.no_grad():
-                for text in all_texts:
-                    emb = teacher_cache.get(text)
-                    if emb is None:
-                        toks = tokenize(text, teacher.config.max_seq_len)
-                        raw = raw_sequence_embedding(teacher, toks).values[0]
-                        emb = raw / np.linalg.norm(raw)
-                        teacher_cache[text] = emb
-                    teacher_rows.append(emb)
-            dloss = distill_loss(student_unit, np.stack(teacher_rows))
+            missing = [t for t in dict.fromkeys(all_texts) if t not in teacher_cache]
+            max_len = teacher.config.max_seq_len
+            for text, raw in zip(missing, raw_embeddings(teacher, [tokenize(t, max_len) for t in missing])):
+                teacher_cache[text] = raw / np.linalg.norm(raw)
+            dloss = distill_loss(student_unit, np.stack([teacher_cache[t] for t in all_texts]))
             total = ad.add(contrastive, ad.scale(dloss, plan.loss.distill_weight))
             dval = float(dloss.values)
         else:

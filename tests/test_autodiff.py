@@ -1,5 +1,7 @@
 """Forward/backward unit tests and finite-difference checks for every primitive."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ def leaf(values, requires_grad=True):
 
 
 def test_softmax_uniform_on_zeros():
-    p = ad.row_softmax(leaf([[0.0, 0.0, 0.0]]))
-    np.testing.assert_allclose(p.values, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
+    # Zero scores: position t averages the values at positions 0..t.
+    v = np.arange(6.0).reshape(3, 2)
+    out = ad.causal_attention(leaf(np.zeros((3, 2))), leaf(np.zeros((3, 2))), leaf(v), head_dim=2)
+    np.testing.assert_allclose(out.values, np.cumsum(v, axis=0) / np.arange(1, 4)[:, None], atol=1e-12)
 
 
 def test_rms_norm_constant_vector():
@@ -37,15 +41,18 @@ def test_matmul_matches_triple_loop_oracle():
 
 
 def test_softmax_rows_sum_to_one():
+    # Constant values come back unchanged only if each row's weights sum to one;
+    # later positions (masked out) must not reach earlier rows at all.
     rng = np.random.default_rng(1)
-    x = leaf(rng.standard_normal((5, 7)) * 3)
-    p = ad.row_softmax(x).values
-    np.testing.assert_allclose(p.sum(axis=1), np.ones(5), atol=1e-6)
-    mask = rng.random((5, 7)) > 0.3
-    mask[:, 0] = True
-    pm = ad.row_softmax(x, mask=mask).values
-    np.testing.assert_allclose(pm.sum(axis=1), np.ones(5), atol=1e-6)
-    assert (pm[~mask] == 0).all()
+    q, k = leaf(rng.standard_normal((2 * 7, 4)) * 3), leaf(rng.standard_normal((2 * 7, 2)) * 3)
+    ones = ad.causal_attention(q, k, leaf(np.ones((14, 2))), head_dim=2, num_seqs=2).values
+    np.testing.assert_allclose(ones, np.ones((14, 4)), atol=1e-6)
+    v = rng.standard_normal((14, 2))
+    base = ad.causal_attention(q, k, leaf(v), head_dim=2, num_seqs=2).values
+    v[5:7] += 100.0  # the last two positions of sequence 0
+    moved = ad.causal_attention(q, k, leaf(v), head_dim=2, num_seqs=2).values
+    np.testing.assert_array_equal(base[:5], moved[:5])
+    np.testing.assert_array_equal(base[7:], moved[7:])
 
 
 def test_l2_normalize_rows_unit_norm():
@@ -160,7 +167,16 @@ RNG = np.random.default_rng(7)
 _B = Tensor(RNG.standard_normal((4, 3)), requires_grad=False)
 _C = Tensor(RNG.standard_normal((3, 5)), requires_grad=False)
 _W = Tensor(RNG.standard_normal((3, 4)), requires_grad=False)
-_MASK = np.tril(np.ones((3, 3), dtype=bool))
+# Two stacked sequences of 3 tokens, 6 query heads sharing 2 KV heads, head_dim 2.
+_AQ = Tensor(RNG.standard_normal((6, 12)), requires_grad=False)
+_AK = Tensor(RNG.standard_normal((6, 4)), requires_grad=False)
+_AV = Tensor(RNG.standard_normal((6, 4)), requires_grad=False)
+_AO = Tensor(RNG.standard_normal((6, 12)), requires_grad=False)
+
+
+def _attention_case(q, k, v):
+    return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, num_seqs=2), _AO))
+
 
 SMOOTH = 1e-5
 DEFAULT = 1e-3
@@ -172,12 +188,9 @@ GRAD_CASES = {
     "add": (lambda x: ad.sum_all(ad.mul(ad.add(x, _W), ad.add(x, _W))), (3, 4), SMOOTH),
     "mul": (lambda x: ad.sum_all(ad.silu(ad.mul(x, _W))), (3, 4), SMOOTH),
     "scale": (lambda x: ad.sum_all(ad.silu(ad.scale(x, 1.7))), (3, 4), SMOOTH),
-    "row_softmax": (lambda x: ad.sum_all(ad.mul(ad.row_softmax(x), _W)), (3, 4), SMOOTH),
-    "row_softmax_masked": (
-        lambda x: ad.sum_all(ad.mul(ad.row_softmax(x, mask=_MASK), Tensor(np.ones((3, 3))))),
-        (3, 3),
-        SMOOTH,
-    ),
+    "causal_attention_q": (lambda x: _attention_case(x, _AK, _AV), (6, 12), SMOOTH),
+    "causal_attention_k": (lambda x: _attention_case(_AQ, x, _AV), (6, 4), SMOOTH),
+    "causal_attention_v": (lambda x: _attention_case(_AQ, _AK, x), (6, 4), SMOOTH),
     "rms_norm": (lambda x: ad.sum_all(ad.mul(ad.rms_norm(x, Tensor(np.full(4, 1.3))), _W)), (3, 4), SMOOTH),
     "rms_norm_gain": (lambda x: ad.sum_all(ad.mul(ad.rms_norm(_W, ad.reshape(x, (4,))), _W)), (4, 1), SMOOTH),
     "rms_norm_grouped": (
@@ -207,15 +220,92 @@ def test_every_registered_primitive_has_a_grad_case():
     checked = {n[:-len("_gain")] if n.endswith("_gain") else n for n in checked}
     checked = {n[:-len("_grouped")] if n.endswith("_grouped") else n for n in checked}
     checked = {n[:-len("_rows")] if n == "concat_rows" else n for n in checked}
+    checked = {n[:-len("_q")] if n.startswith("causal_attention_") else n for n in checked}
     assert set(ad.primitive_set()) <= checked
 
 
 @pytest.mark.parametrize("name", sorted(GRAD_CASES))
 def test_primitive_gradient(name):
     fn, shape, tol = GRAD_CASES[name]
-    point = Tensor(np.random.default_rng(abs(hash(name)) % 2**32).standard_normal(shape))
+    point = Tensor(np.random.default_rng(zlib.crc32(name.encode())).standard_normal(shape))
     err = ad.grad_check(fn, point, tolerance=tol)
     assert err < tol
+
+
+# --- causal_attention against the per-head loop it replaced ------------------
+
+
+def _row_softmax(a, mask):
+    """The masked row softmax primitive the per-head loop was built from."""
+    av = a.values
+    m = np.where(mask, av, -np.inf).max(axis=1, keepdims=True)
+    e = np.where(mask, np.exp(av - m), 0.0)
+    p = e / e.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
+
+    return ad._make("row_softmax", p, (a,), vjp)
+
+
+def _per_head_attention(q, k, v, head_dim, num_kv_heads):
+    """One sequence, one slice/transpose/matmul/softmax/matmul chain per query head."""
+    hd = head_dim
+    heads = q.shape[1] // hd
+    group = heads // num_kv_heads
+    mask = np.tril(np.ones((q.shape[0], q.shape[0]), dtype=bool))
+    k_heads = [ad.slice_cols(k, g * hd, (g + 1) * hd) for g in range(num_kv_heads)]
+    v_heads = [ad.slice_cols(v, g * hd, (g + 1) * hd) for g in range(num_kv_heads)]
+    outs = []
+    for head in range(heads):
+        g = head // group
+        qh = ad.slice_cols(q, head * hd, (head + 1) * hd)
+        probs = _row_softmax(ad.matmul(qh, ad.transpose(k_heads[g])), mask)
+        outs.append(ad.matmul(probs, v_heads[g]))
+    return ad.concat(outs, axis=1)
+
+
+def _attention_configs(count=48, max_seq_len=96):
+    """(dtype, num_seqs, T, kv_heads, group, head_dim): KV heads from 1 up to all
+    heads, groups of up to 5 query heads, T from 1 to max_seq_len."""
+    rng = np.random.default_rng(12)
+    fixed = [(1, 1, 1), (max_seq_len, 4, 1), (33, 1, 3), (48, 2, 3), (75, 1, 4), (2, 3, 5)]
+    configs = []
+    for i in range(count):
+        if i < len(fixed):
+            t, kv, group = fixed[i]
+        else:
+            t, kv, group = int(rng.integers(1, max_seq_len + 1)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        dtype = (np.float32, np.float64)[i % 2]
+        configs.append((dtype, int(rng.integers(1, 4)), t, kv, group, int(rng.choice([2, 4, 8, 16]))))
+    return configs
+
+
+def test_causal_attention_bitwise_equals_per_head_loop():
+    rng = np.random.default_rng(13)
+    for dtype, n, t, kv, group, hd in _attention_configs():
+        q0, k0, v0, w0 = (
+            rng.standard_normal((n * t, cols)).astype(dtype)
+            for cols in (kv * group * hd, kv * hd, kv * hd, kv * group * hd)
+        )
+        q, k, v = (Tensor(x.copy(), requires_grad=True) for x in (q0, k0, v0))
+        fused = ad.causal_attention(q, k, v, head_dim=hd, num_seqs=n)
+        ad.backward(ad.sum_all(ad.mul(fused, Tensor(w0))))
+        for s in range(n):
+            rows = slice(s * t, (s + 1) * t)
+            qs, ks, vs = (Tensor(x[rows].copy(), requires_grad=True) for x in (q0, k0, v0))
+            ref = _per_head_attention(qs, ks, vs, hd, kv)
+            ad.backward(ad.sum_all(ad.mul(ref, Tensor(w0[rows].copy()))))
+            for got, want in ((fused.values, ref.values), (q.grad, qs.grad), (k.grad, ks.grad), (v.grad, vs.grad)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got[rows], want, err_msg=f"{dtype.__name__} n={n} T={t} kv={kv} group={group} hd={hd}")
+
+
+def test_causal_attention_rejects_bad_shapes():
+    with pytest.raises(ad.ShapeError, match="causal_attention"):
+        ad.causal_attention(leaf(np.zeros((6, 8))), leaf(np.zeros((6, 6))), leaf(np.zeros((6, 6))), head_dim=2)
+    with pytest.raises(ad.ShapeError, match="causal_attention"):
+        ad.causal_attention(leaf(np.zeros((5, 4))), leaf(np.zeros((5, 2))), leaf(np.zeros((5, 2))), head_dim=2, num_seqs=2)
 
 
 # --- grad_check behavior ----------------------------------------------------

@@ -247,6 +247,21 @@ def test_eval_dim_out_of_range_exit_2(trained_run, capsys):
     ]) == 2
 
 
+def test_eval_prints_cache_counts(trained_run, capsys):
+    tmp_path, _ = trained_run
+    tasks = [
+        ev.EvalTask(kind="STS", name="sts", pairs=[("a", "b"), ("a", "b"), ("a", "c")], gold=[0.1, 0.2, 0.3]),
+        ev.EvalTask(kind="PairClassification", name="pc", pairs=[("a", "d"), ("e", "b")], labels=[0, 1]),
+    ]
+    ev.save_tasks(tmp_path / "dup_tasks.json", tasks)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                 "--tasks", str(tmp_path / "dup_tasks.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "embed cache: 5 unique texts, 10 requests, 5 hits"
+    assert sum(line.startswith("mean:") for line in lines) == 1
+
+
 # --- mine -----------------------------------------------------------------------
 
 

@@ -135,6 +135,27 @@ def test_mine_exhausted_corpus_returns_what_is_available():
     assert out == [["b"]]
 
 
+def test_mine_tied_similarities_match_key_sort():
+    # Few distinct directions, so most similarities tie (zeros and signed zeros included).
+    directions = np.array([[1.0, 0.0], [-0.0, 1.0], [-0.0, -1.0], [0.6, 0.8], [0.6, -0.8], [-1.0, -0.0]])
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        n = 40
+        corpus = [f"doc{j}" for j in range(n)]
+        queries = [f"q{i}" for i in range(5)]
+        vecs = {t: directions[rng.integers(0, len(directions))] for t in corpus + queries}
+        positives = [int(p) for p in rng.integers(0, n, size=5)]
+        k, skip_top = int(rng.integers(1, 8)), int(rng.integers(0, 4))
+        got = td.mine_hard_negatives(queries, corpus, vecs.__getitem__, k=k, skip_top=skip_top,
+                                     positive_indices=positives)
+        doc_embs = np.stack([vecs[d] for d in corpus])
+        for query, pos, mined in zip(queries, positives, got):
+            sims = doc_embs @ vecs[query]
+            order = sorted(range(n), key=lambda j: (-sims[j], j))
+            excluded = set(order[:skip_top]) | {pos}
+            assert mined == [corpus[j] for j in order if j not in excluded][:k]
+
+
 # --- capping -----------------------------------------------------------------
 
 

@@ -175,6 +175,31 @@ def test_evaluate_empty_task_list():
     assert report.scores == [] and report.mean is None
 
 
+def test_retrieval_tied_similarities_match_key_sort():
+    class FixedUnits:
+        def __init__(self, vecs):
+            self.vecs = vecs
+
+        def unit(self, text, dim):
+            return self.vecs[text]
+
+    directions = np.array([[1.0, 0.0], [-0.0, 1.0], [-0.0, -1.0], [0.6, 0.8], [-1.0, -0.0]], dtype=np.float32)
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        corpus = [f"d{j}" for j in range(30)]
+        queries = [f"q{i}" for i in range(6)]
+        relevance = [{int(j): float(rng.integers(1, 3)) for j in rng.integers(0, 30, size=3)} for _ in queries]
+        task = EvalTask(kind="Retrieval", name="ties", queries=queries, corpus=corpus, relevance=relevance, k=5)
+        cache = FixedUnits({t: directions[rng.integers(0, len(directions))] for t in corpus + queries})
+        doc_matrix = np.stack([cache.unit(d, None) for d in corpus])
+        want = []
+        for query, relevant in zip(queries, relevance):
+            sims = doc_matrix @ cache.unit(query, None)
+            ranking = sorted(range(len(corpus)), key=lambda j: (-sims[j], j))
+            want.append(ev.ndcg_at_k(ranking, relevant, task.k))
+        assert ev._score_task(task, cache, None) == sum(want) / len(want)
+
+
 def test_evaluate_dim_validation():
     model = init_model(TINY, seed=0)
     with pytest.raises(ValueError, match="out of range"):

@@ -147,6 +147,66 @@ def test_model_from_flat_reproduces_forward():
         )
 
 
+# --- grouped no-grad embedding -------------------------------------------------
+
+WIDE = ModelConfig(
+    hidden_size=16, mlp_intermediate_size=24, num_layers=2, num_heads=4, num_kv_heads=2, head_dim=4,
+    vocab_size=258, max_seq_len=96,
+)
+
+
+def mixed_length_texts(seed=0):
+    """Ragged lengths, duplicates, empty texts (EOS only), and more 40-byte texts
+    than one forward may hold, so the token cap splits that length group."""
+    rng = np.random.default_rng(seed)
+    word = lambda n: "".join(chr(97 + int(c)) for c in rng.integers(0, 26, size=n))
+    texts = [word(int(n)) for n in rng.integers(0, 95, size=30)]
+    texts += [word(40) for _ in range(tm.MAX_FORWARD_TOKENS // 41 + 2)]
+    texts += ["", "", texts[3], "x"]
+    rng.shuffle(texts)
+    return texts
+
+
+def test_length_chunks_cover_every_index_once_under_the_token_cap():
+    seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts()]
+    chunks = tm.length_chunks(seqs)
+    assert sorted(i for c in chunks for i in c) == list(range(len(seqs)))
+    split = False
+    for c in chunks:
+        t = len(seqs[c[0]])
+        assert all(len(seqs[i]) == t for i in c) and c == sorted(c)
+        assert len(c) == 1 or len(c) * t <= tm.MAX_FORWARD_TOKENS
+        assert t > 1 or len(c) == 1
+        split |= t == 41 and len(c) < sum(len(s) == 41 for s in seqs)
+    assert split
+
+
+def test_raw_embeddings_bitwise_equal_one_sequence_at_a_time():
+    for dtype in (np.float32, np.float64):
+        m = tm.init_model(WIDE, seed=8).astype(dtype)
+        seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=1)]
+        got = tm.raw_embeddings(m, seqs)
+        with ad.no_grad():
+            want = np.stack([tm.raw_sequence_embedding(m, s).values[0] for s in seqs])
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_embed_texts_bitwise_equal_embed_text():
+    m = tm.init_model(WIDE, seed=9)
+    texts = mixed_length_texts(seed=2)
+    np.testing.assert_array_equal(tm.embed_texts(m, texts), np.stack([tm.embed_text(m, t) for t in texts]))
+    assert tm.embed_texts(m, []).shape == (0, WIDE.hidden_size)
+
+
+def test_raw_embeddings_validate_every_sequence():
+    m = tm.init_model(WIDE, seed=0)
+    with pytest.raises(ValueError, match="EOS"):
+        tm.raw_embeddings(m, [tokenize("ok"), [65, 66]])
+    with pytest.raises(ValueError, match="position 1"):
+        tm.raw_embeddings(m, [tokenize("ok"), [5, 999, EOS_ID]])
+
+
 # --- tokenizer ---------------------------------------------------------------
 
 

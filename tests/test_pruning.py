@@ -80,6 +80,47 @@ def test_norms_match_store_everything_oracle():
         np.testing.assert_allclose(got.mlp_norms[i], want, rtol=1e-6)
 
 
+def one_sequence_at_a_time_norms(model, calibration):
+    """collect_activation_norms as one forward per sequence, adding in calibration order."""
+    from tinyembed.model import TapRecorder
+
+    cfg = model.config
+    ssq_hidden = np.zeros(cfg.hidden_size, dtype=np.float64)
+    ssq_mlp = [np.zeros(cfg.mlp_intermediate_size, dtype=np.float64) for _ in range(cfg.num_layers)]
+    delta = np.zeros(cfg.num_layers, dtype=np.float64)
+    with ad.no_grad():
+        for seq in calibration:
+            taps = TapRecorder()
+            forward_hidden(model, seq, taps=taps)
+            prev = taps.embedding
+            for i, (res, act) in enumerate(zip(taps.residual, taps.mlp_act)):
+                ssq_hidden += (res.astype(np.float64) ** 2).sum(axis=0)
+                ssq_mlp[i] += (act.astype(np.float64) ** 2).sum(axis=0)
+                delta[i] += np.abs(
+                    np.linalg.norm(res, axis=1).astype(np.float64) - np.linalg.norm(prev, axis=1)
+                ).sum()
+                prev = res
+    return np.sqrt(ssq_hidden), [np.sqrt(s) for s in ssq_mlp], delta
+
+
+def test_norms_bitwise_equal_one_sequence_at_a_time_on_mixed_lengths():
+    from tinyembed.model import MAX_FORWARD_TOKENS, length_chunks
+
+    model = init_model(CFG, seed=7)
+    rng = np.random.default_rng(8)
+    calib = [list(rng.integers(0, 256, size=int(n))) for n in rng.integers(1, CFG.max_seq_len + 1, size=12)]
+    calib += calibration(n=MAX_FORWARD_TOKENS // 20 + 2, seed=9, length=19)  # one length, split by the cap
+    calib += [[65], [66]]
+    calib = [calib[i] for i in rng.permutation(len(calib))]
+    assert sum(len(calib[c[0]]) == 20 for c in length_chunks(calib)) >= 2
+    got = tp.collect_activation_norms(model, calib)
+    hidden, mlp, delta = one_sequence_at_a_time_norms(model, calib)
+    np.testing.assert_array_equal(got.hidden_norms, hidden)
+    for i in range(CFG.num_layers):
+        np.testing.assert_array_equal(got.mlp_norms[i], mlp[i])
+    np.testing.assert_array_equal(got.layer_norm_change, delta)
+
+
 def test_empty_calibration_rejected():
     model = init_model(CFG, seed=0)
     with pytest.raises(ValueError, match="calibration"):
