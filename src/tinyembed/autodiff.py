@@ -8,6 +8,7 @@ topological order exactly once, accumulating gradients into the leaves.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
@@ -132,14 +133,49 @@ def _shape_check(op: str, cond: bool, *shapes):
 # ---------------------------------------------------------------------------
 
 
-@_primitive("matmul", "matrix product of a (R,K) by b (K,C)")
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_segments(op: str, segments: Sequence[int] | None, rows: int) -> None:
+    """Per-sequence row counts must be positive and cover every row."""
+    if segments is not None:
+        _shape_check(op, len(segments) > 0 and min(segments) >= 1 and sum(segments) == rows, (rows,), tuple(segments))
+
+
+def _bounds(segments: Sequence[int] | None, rows: int) -> list[tuple[int, int]]:
+    """(start, stop) rows of consecutive segments; no segments is one segment of every row."""
+    if segments is None:
+        return [(0, rows)]
+    ends = list(itertools.accumulate(segments))
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _sum_in_order(like: np.ndarray, parts) -> np.ndarray:
+    """Per-segment partials added from zero in segment order: the order in which
+    backward adds the contributions of one separate graph per segment."""
+    acc = np.zeros_like(like)
+    for part in parts:
+        acc += part
+    return acc
+
+
+@_primitive("matmul", "matrix product of a (R,K) by b (K,C), optionally over row segments")
+def matmul(a: Tensor, b: Tensor, segments: Sequence[int] | None = None) -> Tensor:
+    """With segments (row counts of stacked sequences), every product rounds as
+    the same matmul of each sequence alone would: a one-row segment keeps its own
+    one-row product (numpy sends it to BLAS gemv, which rounds unlike gemm), and
+    the vjp takes g @ b.T per segment, because a transposed b rounds differently
+    in one stacked product. b's gradient is the sum of per-segment products."""
     av, bv = a.values, b.values
     _shape_check("matmul", av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0], av.shape, bv.shape)
+    _check_segments("matmul", segments, av.shape[0])
     out = av @ bv
+    if segments is not None and len(segments) > 1 and 1 in segments:
+        for r0, r1 in _bounds(segments, av.shape[0]):
+            if r1 - r0 == 1:
+                out[r0:r1] = av[r0:r1] @ bv
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        bounds = _bounds(segments, av.shape[0])
+        ga = np.concatenate([g[r0:r1] @ bv.T for r0, r1 in bounds])
+        return ga, _sum_in_order(bv, (av[r0:r1].T @ g[r0:r1] for r0, r1 in bounds))
 
     return _make("matmul", out, (a, b), vjp)
 
@@ -201,27 +237,19 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(n * t, heads * hd)
 
 
-@_primitive("causal_attention", "causal softmax attention over stacked equal-length sequences, grouped KV heads")
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int, num_seqs: int = 1) -> Tensor:
-    """Rows are num_seqs sequences of equal length T stacked in order; columns are
-    heads of head_dim. Query head h reads KV head h // (q_heads // kv_heads).
-    Scores are q @ k^T as given (scale q beforehand), softmax over positions <= t.
+def _length_groups(lengths: Sequence[int] | None, rows: int) -> list[tuple[int, slice | np.ndarray]]:
+    """(number of sequences, their rows) per distinct length, in order."""
+    if lengths is None or len(set(lengths)) == 1:
+        return [(1 if lengths is None else len(lengths), slice(None))]
+    by_len: dict[int, list[np.ndarray]] = {}
+    for r0, r1 in _bounds(lengths, rows):
+        by_len.setdefault(r1 - r0, []).append(np.arange(r0, r1))
+    return [(len(seqs), np.concatenate(seqs)) for seqs in by_len.values()]
 
-    Every matmul takes contiguous (T, head_dim) and (head_dim, T) operands, or their
-    transposed views in the vjp, exactly as a per-head loop of 2-D matmuls would,
-    so the result rounds the same as that loop."""
-    qa, ka, va = q.values, k.values, v.values
-    shapes = (qa.shape, ka.shape, va.shape)
-    _shape_check("causal_attention", qa.ndim == ka.ndim == 2 and ka.shape == va.shape, *shapes)
-    rows, hd, n = qa.shape[0], head_dim, num_seqs
-    n_kv = ka.shape[1] // hd
-    _shape_check(
-        "causal_attention",
-        rows == ka.shape[0] and rows > 0 and n >= 1 and rows % n == 0 and n_kv > 0
-        and qa.shape[1] % (n_kv * hd) == 0 and ka.shape[1] == n_kv * hd,
-        *shapes,
-    )
-    t, group = rows // n, qa.shape[1] // (n_kv * hd)
+
+def _attend(qa: np.ndarray, ka: np.ndarray, va: np.ndarray, n: int, hd: int, n_kv: int, group: int):
+    """Attention over n equal-length sequences stacked as rows: output rows and vjp."""
+    t = qa.shape[0] // n
     # (n, kv, group, T, hd) queries against (n, kv, 1, ., .) keys and values
     q5 = _heads(qa, n, n_kv * group, hd).reshape(n, n_kv, group, t, hd)
     kt5 = np.ascontiguousarray(ka.reshape(n, t, n_kv, hd).transpose(0, 2, 3, 1))[:, :, None]
@@ -253,14 +281,59 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int, num_seqs: i
             _rows(gv),
         )
 
-    return _make("causal_attention", _rows(out.reshape(n, n_kv * group, t, hd)), (q, k, v), vjp)
+    return _rows(out.reshape(n, n_kv * group, t, hd)), vjp
+
+
+@_primitive("causal_attention", "causal softmax attention over stacked sequences, grouped KV heads")
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int, lengths: Sequence[int] | None = None) -> Tensor:
+    """Rows are sequences of the given lengths stacked in order (default: one
+    sequence); columns are heads of head_dim. Query head h reads KV head
+    h // (q_heads // kv_heads). Scores are q @ k^T as given (scale q beforehand),
+    softmax over positions <= t within the sequence.
+
+    Sequences of equal length are attended together. Every matmul takes
+    contiguous (T, head_dim) and (head_dim, T) operands, or their transposed views
+    in the vjp, exactly as a per-head loop of 2-D matmuls over each sequence
+    alone would, so the result rounds the same as that loop."""
+    qa, ka, va = q.values, k.values, v.values
+    shapes = (qa.shape, ka.shape, va.shape)
+    _shape_check("causal_attention", qa.ndim == ka.ndim == 2 and ka.shape == va.shape, *shapes)
+    rows, hd = qa.shape[0], head_dim
+    n_kv = ka.shape[1] // hd
+    _shape_check(
+        "causal_attention",
+        rows == ka.shape[0] and rows > 0 and n_kv > 0
+        and qa.shape[1] % (n_kv * hd) == 0 and ka.shape[1] == n_kv * hd,
+        *shapes,
+    )
+    _check_segments("causal_attention", lengths, rows)
+    group = qa.shape[1] // (n_kv * hd)
+    out = np.empty_like(qa)
+    parts = []
+    for n, sel in _length_groups(lengths, rows):
+        out[sel], part_vjp = _attend(qa[sel], ka[sel], va[sel], n, hd, n_kv, group)
+        parts.append((sel, part_vjp))
+
+    def vjp(gout):
+        grads = (np.empty_like(qa), np.empty_like(ka), np.empty_like(va))
+        for sel, part_vjp in parts:
+            for full, part in zip(grads, part_vjp(gout[sel])):
+                full[sel] = part
+        return grads
+
+    return _make("causal_attention", out, (q, k, v), vjp)
 
 
 @_primitive("rms_norm", "RMS normalization over each row (or row group) with a learned gain")
-def rms_norm(a: Tensor, gain: Tensor, eps: float = 1e-6, group_size: int | None = None) -> Tensor:
+def rms_norm(
+    a: Tensor, gain: Tensor, eps: float = 1e-6, group_size: int | None = None, segments: Sequence[int] | None = None
+) -> Tensor:
+    """With segments (row counts of stacked sequences), the gain gradient is the
+    sum of per-segment sums, as separate per-sequence graphs would add it."""
     av = a.values
     _shape_check("rms_norm", av.ndim == 2, av.shape)
     rows, cols = av.shape
+    _check_segments("rms_norm", segments, rows)
     size = cols if group_size is None else group_size
     _shape_check("rms_norm", cols % size == 0 and gain.shape == (size,), av.shape, gain.shape)
     groups = cols // size
@@ -272,7 +345,8 @@ def rms_norm(a: Tensor, gain: Tensor, eps: float = 1e-6, group_size: int | None 
 
     def vjp(g):
         gg = g.reshape(rows, groups, size)
-        ggain = (gg * x * inv).sum(axis=(0, 1))
+        g_xhat = gg * x * inv
+        ggain = _sum_in_order(gv, (g_xhat[r0:r1].sum(axis=(0, 1)) for r0, r1 in _bounds(segments, rows)))
         gw = gg * gv
         gx = inv * gw - (inv**3 / size) * x * (gw * x).sum(axis=2, keepdims=True)
         return gx.reshape(rows, cols), ggain
@@ -292,17 +366,24 @@ def silu(a: Tensor) -> Tensor:
 
 
 @_primitive("gather_rows", "select rows by integer index (embedding lookup / element select)")
-def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
+def gather_rows(a: Tensor, indices: Sequence[int], segments: Sequence[int] | None = None) -> Tensor:
+    """With segments (counts of consecutive indices, one per sequence), a's
+    gradient is built per segment and the parts added in order, as separate
+    per-sequence lookups would add them."""
     av = a.values
     _shape_check("gather_rows", av.ndim == 2, av.shape)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
         raise IndexError(f"gather_rows: index out of range for {av.shape[0]} rows")
+    _check_segments("gather_rows", segments, idx.size)
+
+    def scatter(r0, r1, g):
+        ga = np.zeros_like(av)
+        np.add.at(ga, idx[r0:r1], g[r0:r1])
+        return ga
 
     def vjp(g):
-        ga = np.zeros_like(av)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        return (_sum_in_order(av, (scatter(r0, r1, g) for r0, r1 in _bounds(segments, idx.size))),)
 
     return _make("gather_rows", av[idx], (a,), vjp)
 

@@ -164,35 +164,42 @@ def _check_tokens(cfg: ModelConfig, tokens: list[int]) -> None:
 
 
 def _forward(model: EmbeddingModel, seqs: list[list[int]], taps: TapRecorder | None) -> Tensor:
-    """Final hidden states of equal-length sequences stacked as (n * T, hidden)."""
+    """Final hidden states of sequences stacked in order, (total tokens, hidden).
+
+    No padding: the sequences may differ in length, and each one's rows, and each
+    parameter's gradient (per-sequence parts added in sequence order), round as in
+    a forward of every sequence alone."""
     cfg = model.config
     p = model.params
     hd = cfg.head_dim
-    positions = np.tile(np.arange(len(seqs[0])), len(seqs))
+    seg = [len(seq) for seq in seqs]
+    positions = np.concatenate([np.arange(t) for t in seg])
 
-    h = ad.gather_rows(p["token_embedding"], [t for seq in seqs for t in seq])
+    h = ad.gather_rows(p["token_embedding"], [t for seq in seqs for t in seq], segments=seg)
     if taps is not None:
         taps.embedding = h.values.copy()
     for i in range(cfg.num_layers):
         lp = f"layers.{i}."
-        x = ad.rms_norm(h, p[lp + "attn_norm"], eps=RMS_EPS)
-        q = ad.matmul(x, p[lp + "q_proj"])
-        k = ad.matmul(x, p[lp + "k_proj"])
-        v = ad.matmul(x, p[lp + "v_proj"])
-        q = ad.rms_norm(q, p[lp + "q_norm"], eps=RMS_EPS, group_size=hd)
-        k = ad.rms_norm(k, p[lp + "k_norm"], eps=RMS_EPS, group_size=hd)
+        x = ad.rms_norm(h, p[lp + "attn_norm"], eps=RMS_EPS, segments=seg)
+        q = ad.matmul(x, p[lp + "q_proj"], segments=seg)
+        k = ad.matmul(x, p[lp + "k_proj"], segments=seg)
+        v = ad.matmul(x, p[lp + "v_proj"], segments=seg)
+        q = ad.rms_norm(q, p[lp + "q_norm"], eps=RMS_EPS, group_size=hd, segments=seg)
+        k = ad.rms_norm(k, p[lp + "k_norm"], eps=RMS_EPS, group_size=hd, segments=seg)
         q = ad.rope(q, hd, base=cfg.rope_base, positions=positions)
         k = ad.rope(k, hd, base=cfg.rope_base, positions=positions)
         q = ad.scale(q, hd**-0.5)
-        attn = ad.causal_attention(q, k, v, hd, num_seqs=len(seqs))
-        h = ad.add(h, ad.matmul(attn, p[lp + "o_proj"]))
-        x = ad.rms_norm(h, p[lp + "mlp_norm"], eps=RMS_EPS)
-        act = ad.mul(ad.silu(ad.matmul(x, p[lp + "gate_proj"])), ad.matmul(x, p[lp + "up_proj"]))
-        h = ad.add(h, ad.matmul(act, p[lp + "down_proj"]))
+        attn = ad.causal_attention(q, k, v, hd, lengths=seg)
+        h = ad.add(h, ad.matmul(attn, p[lp + "o_proj"], segments=seg))
+        x = ad.rms_norm(h, p[lp + "mlp_norm"], eps=RMS_EPS, segments=seg)
+        act = ad.mul(
+            ad.silu(ad.matmul(x, p[lp + "gate_proj"], segments=seg)), ad.matmul(x, p[lp + "up_proj"], segments=seg)
+        )
+        h = ad.add(h, ad.matmul(act, p[lp + "down_proj"], segments=seg))
         if taps is not None:
             taps.residual.append(h.values.copy())
             taps.mlp_act.append(act.values.copy())
-    return ad.rms_norm(h, p["final_norm"], eps=RMS_EPS)
+    return ad.rms_norm(h, p["final_norm"], eps=RMS_EPS, segments=seg)
 
 
 def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder | None = None) -> Tensor:
@@ -256,11 +263,21 @@ def _check_terminal_eos(tokens: list[int]) -> None:
         raise ValueError("sequence must contain exactly one EOS")
 
 
+def raw_sequence_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) -> Tensor:
+    """Unnormalized EOS hidden states of many sequences, (len(token_seqs), hidden),
+    from one packed forward that records gradients when enabled. Row i, and every
+    parameter gradient, equals that of a forward of each sequence alone, the
+    sequences' contributions added in input order."""
+    for seq in token_seqs:
+        _check_terminal_eos(seq)
+        _check_tokens(model.config, seq)
+    h = _forward(model, token_seqs, None)
+    return ad.gather_rows(h, np.cumsum([len(seq) for seq in token_seqs]) - 1)
+
+
 def raw_sequence_embedding(model: EmbeddingModel, tokens: list[int]) -> Tensor:
     """Final hidden state at the EOS position, shape (1, hidden), not normalized."""
-    _check_terminal_eos(tokens)
-    h = forward_hidden(model, tokens)
-    return ad.gather_rows(h, [len(tokens) - 1])
+    return raw_sequence_embeddings(model, [tokens])
 
 
 def embed_sequence(model: EmbeddingModel, tokens: list[int]) -> Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteError, ShapeError, Tensor
 from .data import RETRIEVAL, Batch
-from .model import EmbeddingModel, raw_embeddings, raw_sequence_embedding, save_checkpoint
+from .model import EmbeddingModel, raw_embeddings, raw_sequence_embeddings, save_checkpoint
 from .tokenizer import tokenize
 
 
@@ -257,18 +257,6 @@ def _batch_texts(batch: Batch) -> tuple[list[str], list[str], list[list[str]]]:
     return queries, positives, negatives
 
 
-def _embed_rows(model: EmbeddingModel, texts: list[str], cache: dict[str, list[int]]) -> Tensor:
-    rows = []
-    max_len = model.config.max_seq_len
-    for text in texts:
-        toks = cache.get(text)
-        if toks is None:
-            toks = tokenize(text, max_len)
-            cache[text] = toks
-        rows.append(raw_sequence_embedding(model, toks))
-    return rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
-
-
 def _train_step(
     model: EmbeddingModel,
     batch: Batch,
@@ -283,12 +271,19 @@ def _train_step(
     is dropped on return, before the next batch builds its own."""
     try:
         queries, positives, negatives = _batch_texts(batch)
-        raw_q = _embed_rows(model, queries, token_cache)
-        raw_p = _embed_rows(model, positives, token_cache)
-        raw_n = [_embed_rows(model, negs, token_cache) if negs else None for negs in negatives]
+        all_texts = queries + positives + [n for negs in negatives for n in negs]
+        for text in all_texts:
+            if text not in token_cache:
+                token_cache[text] = tokenize(text, model.config.max_seq_len)
+        # One packed forward of every text; its EOS rows split back into the groups.
+        eos = raw_sequence_embeddings(model, [token_cache[t] for t in all_texts])
+        b = len(queries)
+        raw_q = ad.gather_rows(eos, range(b))
+        raw_p = ad.gather_rows(eos, range(b, 2 * b))
+        ends = np.cumsum([2 * b] + [len(negs) for negs in negatives]).tolist()
+        raw_n = [ad.gather_rows(eos, range(lo, hi)) if hi > lo else None for lo, hi in zip(ends, ends[1:])]
         contrastive = matryoshka_info_nce(raw_q, raw_p, raw_n, plan.loss, use_in_batch=batch.uses_in_batch_negatives)
         if teacher is not None:
-            all_texts = queries + positives + [n for negs in negatives for n in negs]
             student_rows = [raw_q, raw_p] + [t for t in raw_n if t is not None]
             student_unit = ad.l2_normalize_rows(ad.concat(student_rows, axis=0))
             missing = [t for t in dict.fromkeys(all_texts) if t not in teacher_cache]

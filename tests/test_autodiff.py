@@ -45,12 +45,12 @@ def test_softmax_rows_sum_to_one():
     # later positions (masked out) must not reach earlier rows at all.
     rng = np.random.default_rng(1)
     q, k = leaf(rng.standard_normal((2 * 7, 4)) * 3), leaf(rng.standard_normal((2 * 7, 2)) * 3)
-    ones = ad.causal_attention(q, k, leaf(np.ones((14, 2))), head_dim=2, num_seqs=2).values
+    ones = ad.causal_attention(q, k, leaf(np.ones((14, 2))), head_dim=2, lengths=(7, 7)).values
     np.testing.assert_allclose(ones, np.ones((14, 4)), atol=1e-6)
     v = rng.standard_normal((14, 2))
-    base = ad.causal_attention(q, k, leaf(v), head_dim=2, num_seqs=2).values
+    base = ad.causal_attention(q, k, leaf(v), head_dim=2, lengths=(7, 7)).values
     v[5:7] += 100.0  # the last two positions of sequence 0
-    moved = ad.causal_attention(q, k, leaf(v), head_dim=2, num_seqs=2).values
+    moved = ad.causal_attention(q, k, leaf(v), head_dim=2, lengths=(7, 7)).values
     np.testing.assert_array_equal(base[:5], moved[:5])
     np.testing.assert_array_equal(base[7:], moved[7:])
 
@@ -175,7 +175,20 @@ _AO = Tensor(RNG.standard_normal((6, 12)), requires_grad=False)
 
 
 def _attention_case(q, k, v):
-    return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, num_seqs=2), _AO))
+    return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, lengths=(3, 3)), _AO))
+
+
+# Ragged: a length-1 sequence between two of length 2, then one of length 3.
+_RAGGED = (2, 1, 2, 3)
+_RQ = Tensor(RNG.standard_normal((8, 12)), requires_grad=False)
+_RK = Tensor(RNG.standard_normal((8, 4)), requires_grad=False)
+_RV = Tensor(RNG.standard_normal((8, 4)), requires_grad=False)
+_RO = Tensor(RNG.standard_normal((8, 12)), requires_grad=False)
+_SW = Tensor(RNG.standard_normal((8, 4)), requires_grad=False)  # weights of segmented outputs
+
+
+def _ragged_attention_case(q, k, v):
+    return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, lengths=_RAGGED), _RO))
 
 
 SMOOTH = 1e-5
@@ -211,6 +224,34 @@ GRAD_CASES = {
     "mse_rhs": (lambda x: ad.mse(_W, x), (3, 4), SMOOTH),
     "cross_entropy": (lambda x: ad.cross_entropy(x, [2, 0, 1]), (3, 4), SMOOTH),
     "rope": (lambda x: ad.sum_all(ad.silu(ad.rope(x, head_dim=4))), (5, 8), SMOOTH),
+    "matmul_segments": (
+        lambda x: ad.sum_all(ad.mul(ad.matmul(x, _C, segments=_RAGGED), ad.matmul(x, _C, segments=_RAGGED))),
+        (8, 3),
+        SMOOTH,
+    ),
+    "matmul_segments_rhs": (
+        lambda x: ad.sum_all(ad.mul(ad.matmul(_RK, x, segments=_RAGGED), ad.matmul(_RK, x, segments=_RAGGED))),
+        (4, 3),
+        SMOOTH,
+    ),
+    "rms_norm_segments": (
+        lambda x: ad.sum_all(ad.mul(ad.rms_norm(x, Tensor(np.full(4, 1.3)), segments=_RAGGED), _SW)),
+        (8, 4),
+        SMOOTH,
+    ),
+    "rms_norm_segments_gain": (
+        lambda x: ad.sum_all(ad.mul(ad.rms_norm(_RK, ad.reshape(x, (4,)), segments=_RAGGED), _SW)),
+        (4, 1),
+        SMOOTH,
+    ),
+    "gather_rows_segments": (
+        lambda x: ad.sum_all(ad.silu(ad.gather_rows(x, [0, 2, 2, 1, 0, 2, 3, 3], segments=_RAGGED))),
+        (4, 3),
+        SMOOTH,
+    ),
+    "causal_attention_ragged_q": (lambda x: _ragged_attention_case(x, _RK, _RV), (8, 12), SMOOTH),
+    "causal_attention_ragged_k": (lambda x: _ragged_attention_case(_RQ, x, _RV), (8, 4), SMOOTH),
+    "causal_attention_ragged_v": (lambda x: _ragged_attention_case(_RQ, _RK, x), (8, 4), SMOOTH),
 }
 
 
@@ -221,6 +262,7 @@ def test_every_registered_primitive_has_a_grad_case():
     checked = {n[:-len("_grouped")] if n.endswith("_grouped") else n for n in checked}
     checked = {n[:-len("_rows")] if n == "concat_rows" else n for n in checked}
     checked = {n[:-len("_q")] if n.startswith("causal_attention_") else n for n in checked}
+    checked = {n.split("_segments")[0] for n in checked}
     assert set(ad.primitive_set()) <= checked
 
 
@@ -266,7 +308,7 @@ def _per_head_attention(q, k, v, head_dim, num_kv_heads):
 
 
 def _attention_configs(count=48, max_seq_len=96):
-    """(dtype, num_seqs, T, kv_heads, group, head_dim): KV heads from 1 up to all
+    """(dtype, sequences, T, kv_heads, group, head_dim): KV heads from 1 up to all
     heads, groups of up to 5 query heads, T from 1 to max_seq_len."""
     rng = np.random.default_rng(12)
     fixed = [(1, 1, 1), (max_seq_len, 4, 1), (33, 1, 3), (48, 2, 3), (75, 1, 4), (2, 3, 5)]
@@ -289,7 +331,7 @@ def test_causal_attention_bitwise_equals_per_head_loop():
             for cols in (kv * group * hd, kv * hd, kv * hd, kv * group * hd)
         )
         q, k, v = (Tensor(x.copy(), requires_grad=True) for x in (q0, k0, v0))
-        fused = ad.causal_attention(q, k, v, head_dim=hd, num_seqs=n)
+        fused = ad.causal_attention(q, k, v, head_dim=hd, lengths=(t,) * n)
         ad.backward(ad.sum_all(ad.mul(fused, Tensor(w0))))
         for s in range(n):
             rows = slice(s * t, (s + 1) * t)
@@ -301,11 +343,71 @@ def test_causal_attention_bitwise_equals_per_head_loop():
                 np.testing.assert_array_equal(got[rows], want, err_msg=f"{dtype.__name__} n={n} T={t} kv={kv} group={group} hd={hd}")
 
 
+def test_ragged_causal_attention_bitwise_equals_one_sequence_at_a_time():
+    rng = np.random.default_rng(15)
+    for dtype in (np.float32, np.float64):
+        for kv, group, hd in ((1, 1, 2), (2, 2, 8), (2, 3, 4)):
+            lengths = [3, 1, 5, 3, 1, 8, 5, 2, 3]
+            rows = sum(lengths)
+            q0, k0, v0, w0 = (
+                rng.standard_normal((rows, cols)).astype(dtype)
+                for cols in (kv * group * hd, kv * hd, kv * hd, kv * group * hd)
+            )
+            q, k, v = (Tensor(x.copy(), requires_grad=True) for x in (q0, k0, v0))
+            ragged = ad.causal_attention(q, k, v, head_dim=hd, lengths=lengths)
+            ad.backward(ad.sum_all(ad.mul(ragged, Tensor(w0))))
+            ends = np.cumsum(lengths)
+            for r0, r1 in zip(ends - lengths, ends):
+                qs, ks, vs = (Tensor(x[r0:r1].copy(), requires_grad=True) for x in (q0, k0, v0))
+                alone = ad.causal_attention(qs, ks, vs, head_dim=hd)
+                ad.backward(ad.sum_all(ad.mul(alone, Tensor(w0[r0:r1].copy()))))
+                pairs = ((ragged.values, alone.values), (q.grad, qs.grad), (k.grad, ks.grad), (v.grad, vs.grad))
+                for got, want in pairs:
+                    np.testing.assert_array_equal(got[r0:r1], want, err_msg=f"{dtype.__name__} rows {r0}:{r1}")
+
+
+def test_segmented_matmul_equals_per_segment_products_bitwise():
+    """Output rows, input gradient rows and the weight gradient (per-segment
+    products added in order) equal each segment's own products. A stacked
+    g @ W.T (W transposed) rounds differently, and so does a one-row product
+    taken inside a stacked gemm."""
+    rng = np.random.default_rng(16)
+    for dtype in (np.float32, np.float64):
+        for k in (32, 64, 128, 256):
+            for c in (32, 64, 128, 256):
+                lengths = rng.permutation(np.arange(1, 41)).tolist()
+                rows = sum(lengths)
+                a0, w0, g0 = (rng.standard_normal(shape).astype(dtype) for shape in ((rows, k), (k, c), (rows, c)))
+                a, w = Tensor(a0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+                out = ad.matmul(a, w, segments=lengths)
+                ad.backward(ad.sum_all(ad.mul(out, Tensor(g0))))
+                gw = np.zeros_like(w0)
+                ends = np.cumsum(lengths)
+                for r0, r1 in zip(ends - lengths, ends):
+                    a_s, g_s = a0[r0:r1].copy(), g0[r0:r1].copy()
+                    msg = f"{dtype.__name__} K={k} C={c} rows {r0}:{r1}"
+                    np.testing.assert_array_equal(out.values[r0:r1], a_s @ w0, err_msg=msg)
+                    np.testing.assert_array_equal(a.grad[r0:r1], g_s @ w0.T, err_msg=msg)
+                    gw += a_s.T @ g_s
+                np.testing.assert_array_equal(w.grad, gw, err_msg=f"{dtype.__name__} K={k} C={c}")
+
+
+def test_segments_must_cover_the_rows():
+    x, w = leaf(np.zeros((5, 2))), leaf(np.zeros((2, 2)))
+    for bad in ((2, 2), (3, 3), (5, 0), ()):
+        with pytest.raises(ad.ShapeError, match="matmul"):
+            ad.matmul(x, w, segments=bad)
+    with pytest.raises(ad.ShapeError, match="rms_norm"):
+        ad.rms_norm(x, leaf(np.ones(2)), segments=(4,))
+    with pytest.raises(ad.ShapeError, match="gather_rows"):
+        ad.gather_rows(w, [0, 1, 1], segments=(1, 1))
+
+
 def test_causal_attention_rejects_bad_shapes():
     with pytest.raises(ad.ShapeError, match="causal_attention"):
         ad.causal_attention(leaf(np.zeros((6, 8))), leaf(np.zeros((6, 6))), leaf(np.zeros((6, 6))), head_dim=2)
     with pytest.raises(ad.ShapeError, match="causal_attention"):
-        ad.causal_attention(leaf(np.zeros((5, 4))), leaf(np.zeros((5, 2))), leaf(np.zeros((5, 2))), head_dim=2, num_seqs=2)
+        ad.causal_attention(leaf(np.zeros((5, 4))), leaf(np.zeros((5, 2))), leaf(np.zeros((5, 2))), head_dim=2, lengths=(2, 2))
 
 
 # --- grad_check behavior ----------------------------------------------------

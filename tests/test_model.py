@@ -207,6 +207,25 @@ def test_raw_embeddings_validate_every_sequence():
         tm.raw_embeddings(m, [tokenize("ok"), [5, 999, EOS_ID]])
 
 
+def test_packed_forward_graph_does_not_grow_with_the_batch():
+    # One graph per batch: 32 texts of two lengths build as many forward nodes as 2.
+    m = tm.init_model(TINY, seed=3)
+
+    def forward_nodes(texts):
+        return len(ad.trace(tm.raw_sequence_embeddings(m, [tokenize(t) for t in texts])))
+
+    texts = [f"{i:03d}" if i % 2 else f"text {i:03d}" for i in range(32)]
+    assert forward_nodes(texts) == forward_nodes(texts[:2])
+
+
+def test_raw_sequence_embeddings_validate_every_sequence():
+    m = tm.init_model(TINY, seed=0)
+    with pytest.raises(ValueError, match="EOS"):
+        tm.raw_sequence_embeddings(m, [tokenize("ok"), [65, 66]])
+    with pytest.raises(ValueError, match="position 1"):
+        tm.raw_sequence_embeddings(m, [tokenize("ok"), [5, 999, EOS_ID]])
+
+
 # --- tokenizer ---------------------------------------------------------------
 
 

@@ -10,7 +10,8 @@ from tinyembed import autodiff as ad
 from tinyembed import training as tt
 from tinyembed.autodiff import Tensor
 from tinyembed.data import CLUSTERING, RETRIEVAL, Batch, CanonicalSample
-from tinyembed.model import ModelConfig, init_model
+from tinyembed.model import ModelConfig, init_model, raw_embeddings, raw_sequence_embedding
+from tinyembed.tokenizer import tokenize
 from tinyembed.training import LossConfig, OptimizerState, StagePlan
 
 
@@ -356,3 +357,104 @@ def test_metrics_csv_format(tmp_path):
     lines = (tmp_path / "m.csv").read_text().splitlines()
     assert lines[0] == "step,total_loss,contrastive_loss,distill_loss"
     assert lines[1].startswith("1,")
+
+
+# --- the packed training forward against the per-text path it replaced --------
+
+PACKED_CFG = ModelConfig(hidden_size=32, mlp_intermediate_size=64, num_layers=2, num_heads=4,
+                         num_kv_heads=2, head_dim=8, vocab_size=258, max_seq_len=48)
+PACKED_TEACHER_CFG = ModelConfig(hidden_size=64, mlp_intermediate_size=64, num_layers=1, num_heads=2,
+                                 num_kv_heads=1, head_dim=16, vocab_size=258, max_seq_len=48)
+
+
+def _embed_rows(model, texts, cache):
+    """The per-text student forward: one graph per text, EOS rows concatenated."""
+    rows = []
+    for text in texts:
+        toks = cache.setdefault(text, tokenize(text, model.config.max_seq_len))
+        rows.append(raw_sequence_embedding(model, toks))
+    return rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+
+
+def _per_text_step(model, batch, plan, opt, teacher, token_cache, teacher_cache):
+    """_train_step as it was before the packed forward, loss code unchanged."""
+    queries, positives, negatives = tt._batch_texts(batch)
+    raw_q = _embed_rows(model, queries, token_cache)
+    raw_p = _embed_rows(model, positives, token_cache)
+    raw_n = [_embed_rows(model, negs, token_cache) if negs else None for negs in negatives]
+    contrastive = tt.matryoshka_info_nce(raw_q, raw_p, raw_n, plan.loss, use_in_batch=batch.uses_in_batch_negatives)
+    total = contrastive
+    if teacher is not None:
+        all_texts = queries + positives + [n for negs in negatives for n in negs]
+        student_rows = [raw_q, raw_p] + [t for t in raw_n if t is not None]
+        student_unit = ad.l2_normalize_rows(ad.concat(student_rows, axis=0))
+        missing = [t for t in dict.fromkeys(all_texts) if t not in teacher_cache]
+        max_len = teacher.config.max_seq_len
+        for text, raw in zip(missing, raw_embeddings(teacher, [tokenize(t, max_len) for t in missing])):
+            teacher_cache[text] = raw / np.linalg.norm(raw)
+        dloss = tt.distill_loss(student_unit, np.stack([teacher_cache[t] for t in all_texts]))
+        total = ad.add(contrastive, ad.scale(dloss, plan.loss.distill_weight))
+    ad.backward(total)
+    params = model.parameters()
+    tt.adamw_step(params, {k: p.grad for k, p in params.items()}, opt, plan.learning_rate)
+
+
+def _mixed_batch(fmt, seed):
+    """Texts of 0-40 characters: an empty text (EOS only), one-character texts,
+    and equal lengths that are not adjacent in the packed order."""
+    rng = random.Random(seed)
+    word = lambda n: "".join(rng.choice("abcdefgh ") for _ in range(n))
+    lengths = [0, 1, 1, 7, 7, 12, 18, 25, 33, 40, 3, 12]
+    rng.shuffle(lengths)
+    texts = iter([word(n) for n in lengths] + [word(rng.randrange(41)) for _ in range(12)])
+    samples = []
+    for i in range(4):
+        negs = [] if fmt == RETRIEVAL and i % 2 else [next(texts) for _ in range(1 + i % 3)]
+        samples.append(rsample(fmt=fmt, query=next(texts), positive=next(texts), negatives=negs))
+    return Batch(samples, stage=2)
+
+
+def _run_both(batch, dtype, with_teacher, steps=3):
+    """Yield (step, packed model, per-text model) after each of `steps` steps."""
+    plan = make_plan(stage=2, learning_rate=3e-3, teacher="ckpt" if with_teacher else None,
+                     loss=LossConfig(mrl_dims=(8, 16, 32)))
+    teacher = init_model(PACKED_TEACHER_CFG, seed=4).astype(dtype) if with_teacher else None
+    packed, ref = (init_model(PACKED_CFG, seed=2).astype(dtype) for _ in range(2))
+    packed_opt, ref_opt = (OptimizerState.for_params(m.parameters()) for m in (packed, ref))
+    caches = [({}, {}), ({}, {})]
+    for step in range(1, steps + 1):
+        tt._train_step(packed, batch, plan, packed_opt, step, teacher, *caches[0])
+        _per_text_step(ref, batch, plan, ref_opt, teacher, *caches[1])
+        yield step, packed, ref
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["retrieval+teacher", "clustering+teacher", "retrieval-in-batch-only"])
+def test_packed_step_bitwise_equals_per_text_step(case, dtype):
+    """Every parameter gradient and every post-AdamW weight, after each of three
+    steps, equals the per-text path bit for bit wherever that path added the
+    texts' contributions in input order: with a teacher, or with in-batch
+    negatives only (the stage-1 setting)."""
+    fmt = CLUSTERING if case.startswith("clustering") else RETRIEVAL
+    batch = _mixed_batch(fmt, seed=len(fmt))
+    if case == "retrieval-in-batch-only":
+        batch = Batch([rsample(query=s.query, positive=s.positive) for s in batch.samples], stage=1)
+    for step, packed, ref in _run_both(batch, dtype, with_teacher=case.endswith("teacher")):
+        for name, p in packed.params.items():
+            want = ref.params[name]
+            assert p.grad.dtype == want.grad.dtype == dtype
+            np.testing.assert_array_equal(p.grad, want.grad, err_msg=f"step {step} grad {name}")
+            np.testing.assert_array_equal(p.values, want.values, err_msg=f"step {step} weight {name}")
+
+
+def test_packed_step_matches_per_text_step_with_explicit_negatives_and_no_teacher():
+    # Without a teacher, the per-text backward reached the negatives' graphs in
+    # the loss graph's depth-first order rather than input order, so the packed
+    # path, which adds in input order, agrees up to summation order only.
+    batch = _mixed_batch(CLUSTERING, seed=1)
+    for step, packed, ref in _run_both(batch, np.float64, with_teacher=False):
+        for name, p in packed.params.items():
+            want = ref.params[name]
+            scale = np.abs(want.grad).max()
+            np.testing.assert_allclose(p.grad, want.grad, rtol=0, atol=1e-12 * scale, err_msg=f"step {step} {name}")
+            np.testing.assert_allclose(p.values, want.values, rtol=0, atol=1e-12, err_msg=f"step {step} {name}")
