@@ -498,18 +498,66 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     _shape_check("cross_entropy", t.shape == (lv.shape[0],), lv.shape, t.shape)
     if t.size and (t.min() < 0 or t.max() >= lv.shape[1]):
         raise IndexError(f"cross_entropy: target out of range for {lv.shape[1]} classes")
-    rows = lv.shape[0]
+    nll, p = _nll_softmax(lv, t)
+    return _make("cross_entropy", np.asarray(nll.mean(), dtype=lv.dtype), (logits,), lambda g: (_nll_grad(p, t, g),))
+
+
+def _nll_softmax(lv: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -log softmax(lv)[t], and the softmax."""
     m = lv.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(lv - m).sum(axis=1, keepdims=True))
-    nll = lse[:, 0] - lv[np.arange(rows), t]
-    p = np.exp(lv - lse)
+    return lse[:, 0] - lv[np.arange(lv.shape[0]), t], np.exp(lv - lse)
+
+
+def _nll_grad(p: np.ndarray, t: np.ndarray, g) -> np.ndarray:
+    """Logit gradient of g times the mean over rows of the -log softmax."""
+    gl = p.copy()
+    gl[np.arange(p.shape[0]), t] -= 1.0
+    return gl * (g / p.shape[0])
+
+
+@_primitive("info_nce", "mean over queries of cross_entropy(inv_t * q_i @ candidates_i^T) (scalar output)")
+def info_nce(q: Tensor, p: Tensor, negs: Sequence[Tensor | None] | None, inv_t: float, in_batch: bool) -> Tensor:
+    """Query i's candidates are p_i (the target), then its negatives (a (n, d)
+    tensor, None or empty), then with in_batch every other p_j in row order.
+
+    Rounds exactly like one gather_rows/concat/transpose/matmul/scale/
+    cross_entropy chain per query: each query's scores are a one-row product
+    (gemv) with its contiguous transposed candidates, the per-query losses are
+    summed in query order from the first, and p's gradient rows add each
+    query's part in query order."""
+    qv, pv = q.values, p.values
+    _shape_check("info_nce", qv.ndim == 2 and pv.shape == qv.shape, qv.shape, pv.shape)
+    b, d = qv.shape
+    negs = [None] * b if negs is None else [n if n is not None and n.shape[0] > 0 else None for n in negs]
+    given = [n for n in negs if n is not None]
+    shapes = [n.shape for n in given]
+    _shape_check("info_nce", len(negs) == b and all(len(s) == 2 and s[1] == d for s in shapes), qv.shape, *shapes)
+    # Candidate rows: p, then the negatives in query order.
+    rows = np.concatenate([pv] + [n.values for n in given]) if given else pv
+    inv_t, target = float(inv_t), np.zeros(1, dtype=np.intp)
+    queries, total, start = [], None, b
+    for i in range(b):
+        n = 0 if negs[i] is None else negs[i].shape[0]
+        others = [j for j in range(b) if j != i] if in_batch else []
+        idx = np.array([i, *range(start, start + n), *others])
+        start += n
+        qi, cand_t = qv[i : i + 1].copy(), rows[idx].T.copy()
+        nll, soft = _nll_softmax((qi @ cand_t) * inv_t, target)
+        total = nll[0] if total is None else total + nll[0]  # nll[0] is the one-row mean
+        queries.append((idx, qi, cand_t, soft))
 
     def vjp(g):
-        gl = p.copy()
-        gl[np.arange(rows), t] -= 1.0
-        return (gl * (g / rows),)
+        g_loss = g * (1.0 / b)
+        gq, g_rows = np.zeros_like(qv), np.zeros_like(rows)
+        for i, (idx, qi, cand_t, soft) in enumerate(queries):
+            gs = _nll_grad(soft, target, g_loss) * inv_t
+            gq[i] += (gs @ cand_t.T)[0]
+            g_rows[idx] += (qi.T @ gs).T
+        ends = np.cumsum([b] + [n.shape[0] for n in given])
+        return (gq, g_rows[:b], *(g_rows[lo:hi] for lo, hi in zip(ends, ends[1:])))
 
-    return _make("cross_entropy", np.asarray(nll.mean(), dtype=lv.dtype), (logits,), vjp)
+    return _make("info_nce", total * (1.0 / b), (q, p, *given), vjp)
 
 
 _rope_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}

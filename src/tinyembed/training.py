@@ -99,9 +99,12 @@ def truncate_and_renorm_array(emb: np.ndarray, d: int) -> np.ndarray:
 
 
 def _check_unit_rows(name: str, t: Tensor) -> None:
-    norms = np.linalg.norm(t.values, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-4:
-        raise ValueError(f"info_nce: {name} embeddings are not unit-norm (worst |n-1| = {np.abs(norms - 1.0).max():.2e})")
+    worst = np.abs(np.linalg.norm(t.values, axis=1) - 1.0).max()
+    if worst <= 1e-4:
+        return
+    if not np.isfinite(t.values).all():
+        raise NonFiniteError(f"info_nce: {name} embeddings contain NaN or Inf")
+    raise ValueError(f"info_nce: {name} embeddings are not unit-norm (worst |n-1| = {worst:.2e})")
 
 
 def info_nce(
@@ -123,23 +126,12 @@ def info_nce(
         raise ValueError("info_nce: need one negative list per query")
     _check_unit_rows("query", query_embs)
     _check_unit_rows("positive", pos_embs)
-    has_negs = neg_embs is not None and any(n is not None and n.shape[0] > 0 for n in neg_embs)
-    if not has_negs and (not use_in_batch or b < 2):
+    negs = [] if neg_embs is None else [n for n in neg_embs if n is not None and n.shape[0] > 0]
+    if not negs and (not use_in_batch or b < 2):
         raise ValueError("info_nce: no candidates beyond each query's own positive")
-    inv_t = 1.0 / temperature
-    losses = None
-    for i in range(b):
-        parts = [ad.gather_rows(pos_embs, [i])]
-        if neg_embs is not None and neg_embs[i] is not None and neg_embs[i].shape[0] > 0:
-            _check_unit_rows("negative", neg_embs[i])
-            parts.append(neg_embs[i])
-        if use_in_batch and b > 1:
-            parts.append(ad.gather_rows(pos_embs, [j for j in range(b) if j != i]))
-        candidates = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-        sims = ad.matmul(ad.gather_rows(query_embs, [i]), ad.transpose(candidates))
-        loss_i = ad.cross_entropy(ad.scale(sims, inv_t), [0])
-        losses = loss_i if losses is None else ad.add(losses, loss_i)
-    return ad.scale(losses, 1.0 / b)
+    for n in negs:
+        _check_unit_rows("negative", n)
+    return ad.info_nce(query_embs, pos_embs, neg_embs, 1.0 / temperature, use_in_batch)
 
 
 def matryoshka_info_nce(

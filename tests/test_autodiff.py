@@ -191,6 +191,17 @@ def _ragged_attention_case(q, k, v):
     return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, lengths=_RAGGED), _RO))
 
 
+# Three queries and in-batch positives; query 0 has two negatives, query 1 none, query 2 one.
+_NQ = Tensor(RNG.standard_normal((3, 4)), requires_grad=False)
+_NP = Tensor(RNG.standard_normal((3, 4)), requires_grad=False)
+_NN0 = Tensor(RNG.standard_normal((2, 4)), requires_grad=False)
+_NN2 = Tensor(RNG.standard_normal((1, 4)), requires_grad=False)
+
+
+def _info_nce_case(q, p, n0):
+    return ad.info_nce(q, p, [n0, None, _NN2], inv_t=1.5, in_batch=True)
+
+
 SMOOTH = 1e-5
 DEFAULT = 1e-3
 
@@ -252,6 +263,9 @@ GRAD_CASES = {
     "causal_attention_ragged_q": (lambda x: _ragged_attention_case(x, _RK, _RV), (8, 12), SMOOTH),
     "causal_attention_ragged_k": (lambda x: _ragged_attention_case(_RQ, x, _RV), (8, 4), SMOOTH),
     "causal_attention_ragged_v": (lambda x: _ragged_attention_case(_RQ, _RK, x), (8, 4), SMOOTH),
+    "info_nce_q": (lambda x: _info_nce_case(x, _NP, _NN0), (3, 4), SMOOTH),
+    "info_nce_p": (lambda x: _info_nce_case(_NQ, x, _NN0), (3, 4), SMOOTH),
+    "info_nce_n": (lambda x: _info_nce_case(_NQ, _NP, x), (2, 4), SMOOTH),
 }
 
 
@@ -261,7 +275,7 @@ def test_every_registered_primitive_has_a_grad_case():
     checked = {n[:-len("_gain")] if n.endswith("_gain") else n for n in checked}
     checked = {n[:-len("_grouped")] if n.endswith("_grouped") else n for n in checked}
     checked = {n[:-len("_rows")] if n == "concat_rows" else n for n in checked}
-    checked = {n[:-len("_q")] if n.startswith("causal_attention_") else n for n in checked}
+    checked = {n[:-len("_q")] if n.startswith(("causal_attention_", "info_nce_")) else n for n in checked}
     checked = {n.split("_segments")[0] for n in checked}
     assert set(ad.primitive_set()) <= checked
 
@@ -408,6 +422,16 @@ def test_causal_attention_rejects_bad_shapes():
         ad.causal_attention(leaf(np.zeros((6, 8))), leaf(np.zeros((6, 6))), leaf(np.zeros((6, 6))), head_dim=2)
     with pytest.raises(ad.ShapeError, match="causal_attention"):
         ad.causal_attention(leaf(np.zeros((5, 4))), leaf(np.zeros((5, 2))), leaf(np.zeros((5, 2))), head_dim=2, lengths=(2, 2))
+
+
+def test_info_nce_rejects_bad_shapes():
+    q = leaf(np.zeros((2, 4)))
+    with pytest.raises(ad.ShapeError, match="info_nce"):
+        ad.info_nce(q, leaf(np.zeros((3, 4))), None, inv_t=1.0, in_batch=True)
+    with pytest.raises(ad.ShapeError, match="info_nce"):
+        ad.info_nce(q, q, [leaf(np.zeros((1, 3))), None], inv_t=1.0, in_batch=True)
+    with pytest.raises(ad.ShapeError, match="info_nce"):
+        ad.info_nce(q, q, [None], inv_t=1.0, in_batch=True)
 
 
 # --- grad_check behavior ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ def test_info_nce_rejects_candidate_free_query():
         tt.info_nce(q, q, None, 0.05, use_in_batch=True)  # B=1, no negatives
 
 
+def test_info_nce_names_non_finite_inputs():
+    # A NaN row's norm deviation is NaN, which no "> tolerance" test catches.
+    rng = np.random.default_rng(10)
+    q, p, negs = Tensor(unit_rows(rng, 3, 8)), unit_rows(rng, 3, 8), unit_rows(rng, 2, 8)
+    negs[1, 3] = np.nan
+    with pytest.raises(ad.NonFiniteError, match="negative"):
+        tt.info_nce(q, Tensor(p), [None, Tensor(negs), None], 0.05, use_in_batch=False)
+    p[0, 0] = np.inf
+    with pytest.raises(ad.NonFiniteError, match="positive"):
+        tt.info_nce(q, Tensor(p), None, 0.05, use_in_batch=True)
+
+
 def test_info_nce_gradient_check():
     rng = np.random.default_rng(4)
     b, d, k = 3, 6, 2
@@ -171,6 +184,108 @@ def test_matryoshka_is_weighted_mean_of_per_dim_losses():
         per_dim.append(float(tt.info_nce(q, p, negs, 0.1, use_in_batch=True).values))
     want = (1 * per_dim[0] + 2 * per_dim[1] + 3 * per_dim[2]) / 6
     assert abs(got - want) < 1e-12
+
+
+def test_matryoshka_loss_graph_does_not_grow_with_the_batch():
+    cfg = LossConfig(mrl_dims=(8, 16, 32, 64))
+
+    def nodes(b):
+        rng = np.random.default_rng(b)
+        raw_q, raw_p = (Tensor(rng.standard_normal((b, 64)), requires_grad=True) for _ in range(2))
+        return len(ad.trace(tt.matryoshka_info_nce(raw_q, raw_p, None, cfg, use_in_batch=True)))
+
+    assert nodes(4) == nodes(16)
+
+
+# --- the fused InfoNCE against the per-query graph it replaced ----------------
+
+
+def _reference_info_nce(query_embs, pos_embs, neg_embs, temperature, use_in_batch):
+    """info_nce as one gather_rows/concat/transpose/matmul/scale/cross_entropy
+    chain per query, with the checks of tt.info_nce."""
+    b = query_embs.shape[0]
+    if pos_embs.shape != query_embs.shape:
+        raise ad.ShapeError(f"info_nce: queries {query_embs.shape} vs positives {pos_embs.shape}")
+    if neg_embs is not None and len(neg_embs) != b:
+        raise ValueError("info_nce: need one negative list per query")
+    tt._check_unit_rows("query", query_embs)
+    tt._check_unit_rows("positive", pos_embs)
+    has_negs = neg_embs is not None and any(n is not None and n.shape[0] > 0 for n in neg_embs)
+    if not has_negs and (not use_in_batch or b < 2):
+        raise ValueError("info_nce: no candidates beyond each query's own positive")
+    inv_t = 1.0 / temperature
+    losses = None
+    for i in range(b):
+        parts = [ad.gather_rows(pos_embs, [i])]
+        if neg_embs is not None and neg_embs[i] is not None and neg_embs[i].shape[0] > 0:
+            tt._check_unit_rows("negative", neg_embs[i])
+            parts.append(neg_embs[i])
+        if use_in_batch and b > 1:
+            parts.append(ad.gather_rows(pos_embs, [j for j in range(b) if j != i]))
+        candidates = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+        sims = ad.matmul(ad.gather_rows(query_embs, [i]), ad.transpose(candidates))
+        loss_i = ad.cross_entropy(ad.scale(sims, inv_t), [0])
+        losses = loss_i if losses is None else ad.add(losses, loss_i)
+    return ad.scale(losses, 1.0 / b)
+
+
+def _reference_matryoshka(*args, **kwargs):
+    """tt.matryoshka_info_nce built on the per-query reference."""
+    with mock.patch.object(tt, "info_nce", _reference_info_nce):
+        return tt.matryoshka_info_nce(*args, **kwargs)
+
+
+# (batch size, negatives per query: a count, or None for no tensor, in_batch)
+_LOSS_CASES = {
+    "in-batch": (16, [None] * 16, True),
+    "negatives": (7, [1, 2, 3, None, 0, 3, 1], False),
+    "in-batch+negatives": (6, [2, None, 1, 0, 3, 1], True),
+    "one-query": (1, [3], True),
+}
+
+
+def _assert_fused_equals_reference(fused_fn, ref_fn, arrays, msg):
+    """fn(q, p, negatives) of fresh leaves: loss values and every input's gradient, bitwise."""
+    runs = []
+    for fn in (fused_fn, ref_fn):
+        leaves = [None if a is None else Tensor(a.copy(), requires_grad=True) for a in arrays]
+        loss = fn(leaves[0], leaves[1], leaves[2:])
+        ad.backward(ad.scale(loss, 0.37))
+        runs.append((loss, leaves))
+    (fused, got_leaves), (ref, want_leaves) = runs
+    assert fused.values.dtype == ref.values.dtype
+    np.testing.assert_array_equal(fused.values, ref.values, err_msg=msg)
+    for k, (got, want) in enumerate(zip(got_leaves, want_leaves)):
+        if want is not None and want.grad is None:
+            assert got.grad is None, f"{msg}: input {k}"  # an empty negatives tensor
+        elif want is not None:
+            assert got.grad.dtype == want.grad.dtype
+            np.testing.assert_array_equal(got.grad, want.grad, err_msg=f"{msg}: input {k}")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_LOSS_CASES))
+def test_fused_info_nce_bitwise_equals_per_query_graph(case, dtype):
+    b, counts, in_batch = _LOSS_CASES[case]
+    rng = np.random.default_rng(len(case))
+    for d in (8, 16, 24, 32, 64):
+        arrays = [unit_rows(rng, b, d).astype(dtype), unit_rows(rng, b, d).astype(dtype)]
+        arrays += [None if n is None else unit_rows(rng, n, d).astype(dtype) for n in counts]
+        fused, ref = (lambda q, p, n, fn=fn: fn(q, p, n, 0.05, use_in_batch=in_batch)
+                      for fn in (tt.info_nce, _reference_info_nce))
+        _assert_fused_equals_reference(fused, ref, arrays, f"{case} {dtype.__name__} d={d}")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_matryoshka_bitwise_equals_per_query_graph(dtype):
+    rng = np.random.default_rng(17)
+    counts = [2, None, 1, 0, 3, 1, None, 2]
+    arrays = [rng.standard_normal((8, 64)).astype(dtype) for _ in range(2)]
+    arrays += [None if n is None else rng.standard_normal((n, 64)).astype(dtype) for n in counts]
+    cfg = LossConfig(mrl_dims=(8, 16, 32, 64), mrl_weights=(1.0, 0.5, 2.0, 0.25), temperature=0.05)
+    fused, ref = (lambda q, p, n, fn=fn: fn(q, p, n, cfg, use_in_batch=True)
+                  for fn in (tt.matryoshka_info_nce, _reference_matryoshka))
+    _assert_fused_equals_reference(fused, ref, arrays, dtype.__name__)
 
 
 def test_loss_config_validation():
@@ -377,12 +492,12 @@ def _embed_rows(model, texts, cache):
 
 
 def _per_text_step(model, batch, plan, opt, teacher, token_cache, teacher_cache):
-    """_train_step as it was before the packed forward, loss code unchanged."""
+    """_train_step as it was before the packed forward and the fused loss."""
     queries, positives, negatives = tt._batch_texts(batch)
     raw_q = _embed_rows(model, queries, token_cache)
     raw_p = _embed_rows(model, positives, token_cache)
     raw_n = [_embed_rows(model, negs, token_cache) if negs else None for negs in negatives]
-    contrastive = tt.matryoshka_info_nce(raw_q, raw_p, raw_n, plan.loss, use_in_batch=batch.uses_in_batch_negatives)
+    contrastive = _reference_matryoshka(raw_q, raw_p, raw_n, plan.loss, use_in_batch=batch.uses_in_batch_negatives)
     total = contrastive
     if teacher is not None:
         all_texts = queries + positives + [n for negs in negatives for n in negs]
