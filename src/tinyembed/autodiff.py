@@ -4,6 +4,10 @@ Tensors wrap row-major numpy arrays (float32 for training, float64 for
 gradient checking). Every primitive records its inputs and a backward rule
 on the output tensor; `backward` walks the resulting graph in reverse
 topological order exactly once, accumulating gradients into the leaves.
+
+Forward kernels work in place on arrays the primitive allocated itself, never
+on an input, with the ops of the plain expression in the same order, so they
+round exactly as that expression would.
 """
 
 from __future__ import annotations
@@ -222,8 +226,9 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 @lru_cache(maxsize=64)
-def _causal_mask(n: int) -> np.ndarray:
-    return np.tril(np.ones((n, n), dtype=bool))
+def _future_mask(n: int) -> np.ndarray:
+    """Score positions after the query's own, which the causal softmax hides (shared: read only)."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
 
 
 def _heads(x: np.ndarray, n: int, heads: int, hd: int) -> np.ndarray:
@@ -254,11 +259,14 @@ def _attend(qa: np.ndarray, ka: np.ndarray, va: np.ndarray, n: int, hd: int, n_k
     q5 = _heads(qa, n, n_kv * group, hd).reshape(n, n_kv, group, t, hd)
     kt5 = np.ascontiguousarray(ka.reshape(n, t, n_kv, hd).transpose(0, 2, 3, 1))[:, :, None]
     v5 = _heads(va, n, n_kv, hd)[:, :, None]
-    mask = _causal_mask(t)
-    scores = q5 @ kt5
-    m = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(scores - m), 0.0)
-    p = e / e.sum(axis=-1, keepdims=True)
+    # Masked softmax in place on the scores: hidden positions are -inf before the
+    # max, so exp gives them exactly the 0 a masked select would, and every other
+    # entry goes through the same ops in the same order.
+    p = q5 @ kt5
+    np.copyto(p, -np.inf, where=_future_mask(t))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     out = p @ v5
 
     def group_sum(x):
@@ -338,9 +346,14 @@ def rms_norm(
     _shape_check("rms_norm", cols % size == 0 and gain.shape == (size,), av.shape, gain.shape)
     groups = cols // size
     x = av.reshape(rows, groups, size)
-    inv = 1.0 / np.sqrt((x * x).mean(axis=2, keepdims=True) + eps)
+    y = x * x
+    inv = y.mean(axis=2, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     gv = gain.values
-    y = x * inv * gv
+    np.multiply(x, inv, out=y)
+    y *= gv
     out = y.reshape(rows, cols)
 
     def vjp(g):
@@ -357,7 +370,10 @@ def rms_norm(
 @_primitive("silu", "x * sigmoid(x)")
 def silu(a: Tensor) -> Tensor:
     av = a.values
-    sig = 1.0 / (1.0 + np.exp(-av))
+    sig = np.negative(av)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
 
     def vjp(g):
         return (g * sig * (1.0 + av * (1.0 - sig)),)
@@ -563,42 +579,57 @@ def info_nce(q: Tensor, p: Tensor, negs: Sequence[Tensor | None] | None, inv_t: 
 _rope_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _rope_tables(n_pos: int, head_dim: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    key = (n_pos, head_dim, base, np.dtype(dtype).str)
+def _rope_tables(n_pos: int, head_dim: int, heads: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(n_pos, heads * head_dim) tables for positions 0..n_pos-1: cos of each
+    pair's angle in both halves of every head, and -sin in the first half, sin
+    in the second."""
+    key = (n_pos, head_dim, heads, base, np.dtype(dtype).str)
     hit = _rope_cache.get(key)
     if hit is None:
         half = head_dim // 2
         freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
         angles = np.arange(n_pos, dtype=np.float64)[:, None] * freqs[None, :]
-        hit = (np.cos(angles).astype(dtype), np.sin(angles).astype(dtype))
+        cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+        hit = (np.tile(np.hstack([cos, cos]), heads), np.tile(np.hstack([-sin, sin]), heads))
         if len(_rope_cache) < 256:
             _rope_cache[key] = hit
     return hit
 
 
+def _swap_halves(x: np.ndarray, head_dim: int) -> np.ndarray:
+    """A new array with the two halves of every head's columns swapped."""
+    rows, cols = x.shape
+    return x.reshape(rows, cols // head_dim, 2, head_dim // 2)[:, :, ::-1].copy().reshape(rows, cols)
+
+
 @_primitive("rope", "rotary position embedding applied per head (rotate-half pairing)")
 def rope(a: Tensor, head_dim: int, base: float = 10000.0, positions: Sequence[int] | None = None) -> Tensor:
+    """Each head's halves (x1, x2) become (x1*cos - x2*sin, x2*cos + x1*sin),
+    computed over whole rows as x*C + swap(x)*S with the _rope_tables rows of
+    the positions. Negating a product and swapping two addends are exact, so
+    this rounds like the rotate-half expression."""
     av = a.values
     _shape_check("rope", av.ndim == 2 and av.shape[1] % head_dim == 0 and head_dim % 2 == 0, av.shape)
     T, cols = av.shape
-    heads = cols // head_dim
-    half = head_dim // 2
     if positions is None:
         pos = np.arange(T)
     else:
         pos = np.asarray(positions, dtype=np.intp)
         _shape_check("rope", pos.shape == (T,), av.shape, pos.shape)
-    cos, sin = _rope_tables(int(pos.max()) + 1 if T else 1, head_dim, base, av.dtype)
-    cos, sin = cos[pos][:, None, :], sin[pos][:, None, :]
-    x = av.reshape(T, heads, head_dim)
-    x1, x2 = x[..., :half], x[..., half:]
-    out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=2).reshape(T, cols)
+    cos, sin = _rope_tables(int(pos.max()) + 1 if T else 1, head_dim, cols // head_dim, base, av.dtype)
+    c, s = cos[pos], sin[pos]
+    out = av * c
+    rot = _swap_halves(av, head_dim)
+    rot *= s
+    out += rot
 
     def vjp(g):
-        gr = g.reshape(T, heads, head_dim)
-        g1, g2 = gr[..., :half], gr[..., half:]
-        gx = np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=2)
-        return (gx.reshape(T, cols),)
+        # The inverse rotation: (g1*cos + g2*sin, g2*cos - g1*sin).
+        gx = g * c
+        rot = _swap_halves(g, head_dim)
+        rot *= s
+        gx -= rot
+        return (gx,)
 
     return _make("rope", out, (a,), vjp)
 

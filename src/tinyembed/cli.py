@@ -108,28 +108,46 @@ def cmd_mine(args) -> int:
     return 0
 
 
+PLAN_FIELDS = {
+    "stage": "an integer",
+    "lr": "a number",
+    "epochs": "an integer",
+    "batch_size": "an integer",
+    "mrl_dims": "a list of integers",
+    "seed": "an integer",
+    "data": "a list of strings",
+    "temperature": "a number",
+    "mrl_weights": "a list of numbers or null",
+    "distill_weight": "a number",
+    "teacher": "a string or null",
+    "model_config": "a string or null",
+    "instructions": "a string or null",
+    "p_doc": "a number",
+}
+
+
 def _plan_from_json(path: str) -> tuple[StagePlan, dict]:
     with open(path) as f:
         raw = json.load(f)
-    required = ("stage", "lr", "epochs", "batch_size", "mrl_dims", "seed", "data")
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise UserError(f"plan {path} missing fields: {', '.join(missing)}")
-    loss = LossConfig(
-        mrl_dims=tuple(raw["mrl_dims"]),
-        temperature=raw.get("temperature", 0.05),
-        mrl_weights=tuple(raw["mrl_weights"]) if raw.get("mrl_weights") else None,
-        distill_weight=raw.get("distill_weight", 1.0),
-    )
-    plan = StagePlan(
-        stage=raw["stage"],
-        learning_rate=raw["lr"],
-        epochs=raw["epochs"],
-        batch_size=raw["batch_size"],
-        loss=loss,
-        seed=raw["seed"],
-        teacher=raw.get("teacher"),
-    )
+    td.check_fields(f"plan {path}", raw, PLAN_FIELDS, ("stage", "lr", "epochs", "batch_size", "mrl_dims", "seed", "data"))
+    try:
+        loss = LossConfig(
+            mrl_dims=tuple(raw["mrl_dims"]),
+            temperature=raw.get("temperature", 0.05),
+            mrl_weights=tuple(raw["mrl_weights"]) if raw.get("mrl_weights") else None,
+            distill_weight=raw.get("distill_weight", 1.0),
+        )
+        plan = StagePlan(
+            stage=raw["stage"],
+            learning_rate=raw["lr"],
+            epochs=raw["epochs"],
+            batch_size=raw["batch_size"],
+            loss=loss,
+            seed=raw["seed"],
+            teacher=raw.get("teacher"),
+        )
+    except ValueError as e:
+        raise UserError(f"plan {path}: {e}") from e
     return plan, raw
 
 

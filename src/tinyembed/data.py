@@ -33,6 +33,39 @@ class SchemaError(ValueError):
     """Raised for records that match no ingestion schema or miss required fields."""
 
 
+_FIELD_KINDS: dict[str, Callable[[object], bool]] = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
+    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "a list of numbers": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "a list of objects": lambda v: type(v) is list and all(type(x) is dict for x in v),
+    "a list of string pairs": lambda v: type(v) is list
+    and all(type(x) is list and len(x) == 2 and all(type(t) is str for t in x) for x in v),
+}
+
+
+def check_fields(where: str, record, kinds: dict[str, str], required: Iterable[str]) -> None:
+    """A JSON object with only the keys of kinds, all the required ones, and each
+    value of its kind (a _FIELD_KINDS key, or one with " or null", which also
+    takes null). Raises SchemaError naming where and the field."""
+    if not isinstance(record, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    unknown = [k for k in record if k not in kinds]
+    if unknown:
+        raise SchemaError(f"{where}: unknown field {unknown[0]!r} (known: {', '.join(kinds)})")
+    missing = [k for k in required if k not in record]
+    if missing:
+        raise SchemaError(f"{where}: missing fields: {', '.join(missing)}")
+    for key, value in record.items():
+        kind = kinds[key]
+        if value is None and kind.endswith(" or null"):
+            continue
+        if not _FIELD_KINDS[kind.removesuffix(" or null")](value):
+            raise SchemaError(f"{where}: field {key!r} must be {kind}, got {value!r}")
+
+
 @dataclass
 class CanonicalSample:
     format: str

@@ -3,6 +3,7 @@ matryoshka truncation sweeps, and the distillation ablation."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Batch
+from .data import Batch, SchemaError, check_fields
 from .model import EmbeddingModel, raw_embeddings
 from .tokenizer import tokenize
 from .training import StagePlan, train_stage, truncate_and_renorm_array
@@ -82,10 +83,33 @@ class EvalTask:
         return cls(**d)
 
 
+TASK_FIELDS = {
+    "kind": "a string",
+    "name": "a string",
+    "queries": "a list of strings or null",
+    "corpus": "a list of strings or null",
+    "relevance": "a list of objects or null",
+    "k": "an integer",
+    "pairs": "a list of string pairs or null",
+    "gold": "a list of numbers or null",
+    "labels": "a list of integers or null",
+}
+
+
 def load_tasks(path: str | Path) -> list[EvalTask]:
     with open(path) as f:
         payload = json.load(f)
-    return [EvalTask.from_dict(d) for d in payload]
+    if not isinstance(payload, list):
+        raise SchemaError(f"{path}: expected a JSON list of tasks")
+    tasks = []
+    for i, d in enumerate(payload):
+        where = f"{path}: task {i}" + (f" ({d['name']!r})" if isinstance(d, dict) and "name" in d else "")
+        check_fields(where, d, TASK_FIELDS, ("kind", "name"))
+        try:
+            tasks.append(EvalTask.from_dict(d))
+        except ValueError as e:
+            raise SchemaError(f"{where}: {e}") from e
+    return tasks
 
 
 def save_tasks(path: str | Path, tasks: list[EvalTask]) -> None:
@@ -281,10 +305,10 @@ def write_sweep_csv(path: str | Path, rows: list[tuple[int, float]]) -> None:
 
 
 def write_scores_csv(path: str | Path, report: EvalReport) -> None:
-    with open(path, "w") as f:
-        f.write("task,kind,score\n")
-        for s in report.scores:
-            f.write(f"{s.name},{s.kind},{s.score!r}\n")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["task", "kind", "score"])
+        writer.writerows([s.name, s.kind, repr(s.score)] for s in report.scores)
 
 
 # ---------------------------------------------------------------------------

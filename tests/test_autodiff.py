@@ -434,6 +434,125 @@ def test_info_nce_rejects_bad_shapes():
         ad.info_nce(q, q, [None], inv_t=1.0, in_batch=True)
 
 
+# --- forward kernels against the expressions they replaced ------------------
+
+
+def _silu_reference(a):
+    av = a.values
+    sig = 1.0 / (1.0 + np.exp(-av))
+
+    def vjp(g):
+        return (g * sig * (1.0 + av * (1.0 - sig)),)
+
+    return ad._make("silu", av * sig, (a,), vjp)
+
+
+def _rms_norm_reference(a, gain, eps=1e-6, group_size=None, segments=None):
+    av = a.values
+    rows, cols = av.shape
+    size = cols if group_size is None else group_size
+    groups = cols // size
+    x = av.reshape(rows, groups, size)
+    inv = 1.0 / np.sqrt((x * x).mean(axis=2, keepdims=True) + eps)
+    gv = gain.values
+    y = x * inv * gv
+
+    def vjp(g):
+        gg = g.reshape(rows, groups, size)
+        g_xhat = gg * x * inv
+        ggain = ad._sum_in_order(gv, (g_xhat[r0:r1].sum(axis=(0, 1)) for r0, r1 in ad._bounds(segments, rows)))
+        gw = gg * gv
+        gx = inv * gw - (inv**3 / size) * x * (gw * x).sum(axis=2, keepdims=True)
+        return gx.reshape(rows, cols), ggain
+
+    return ad._make("rms_norm", y.reshape(rows, cols), (a, gain), vjp)
+
+
+def _rope_reference(a, head_dim, base=10000.0, positions=None):
+    av = a.values
+    T, cols = av.shape
+    heads, half = cols // head_dim, head_dim // 2
+    pos = np.arange(T) if positions is None else np.asarray(positions, dtype=np.intp)
+    freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
+    angles = np.arange(int(pos.max()) + 1, dtype=np.float64)[:, None] * freqs[None, :]
+    cos, sin = np.cos(angles).astype(av.dtype)[pos][:, None, :], np.sin(angles).astype(av.dtype)[pos][:, None, :]
+    x = av.reshape(T, heads, head_dim)
+    x1, x2 = x[..., :half], x[..., half:]
+    out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=2).reshape(T, cols)
+
+    def vjp(g):
+        gr = g.reshape(T, heads, head_dim)
+        g1, g2 = gr[..., :half], gr[..., half:]
+        return (np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=2).reshape(T, cols),)
+
+    return ad._make("rope", out, (a,), vjp)
+
+
+def _assert_bitwise_like_reference(new, reference, inputs, rng, msg):
+    """Output and every input gradient equal the reference's bit for bit, and no
+    input array is written to."""
+    copies = [x.copy() for x in inputs]
+    w = Tensor(rng.standard_normal(inputs[0].shape).astype(inputs[0].dtype))
+    results = []
+    for fn in (new, reference):
+        leaves = [Tensor(x, requires_grad=True) for x in inputs]
+        out = fn(*leaves)
+        ad.backward(ad.sum_all(ad.mul(out, w)))
+        results.append([out.values] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype, msg
+        np.testing.assert_array_equal(got, want, err_msg=msg)
+    for x, c in zip(inputs, copies):
+        np.testing.assert_array_equal(x, c, err_msg=f"{msg}: input written")
+
+
+def test_silu_bitwise_equals_previous_expression():
+    rng = np.random.default_rng(21)
+    for dtype in (np.float32, np.float64):
+        for shape in ((1, 1), (1, 24), (7, 24), (512, 256)):
+            x = (rng.standard_normal(shape) * 4).astype(dtype)
+            extremes = (-100.0, 100.0, -30.0, 30.0, 0.0, 1e-30)[: x.size]
+            x.flat[: len(extremes)] = extremes  # exp overflows to inf at -100 in float32
+            with np.errstate(over="ignore"):
+                _assert_bitwise_like_reference(ad.silu, _silu_reference, [x], rng, f"{dtype.__name__} {shape}")
+
+
+def test_rms_norm_bitwise_equals_previous_expression():
+    rng = np.random.default_rng(22)
+    for dtype in (np.float32, np.float64):
+        for rows, cols, group, segments in (
+            (1, 16, None, None), (1, 16, 4, None), (9, 64, None, None), (9, 64, 16, None),
+            (9, 64, None, (3, 1, 5)), (9, 64, 16, (1, 8)), (512, 64, None, (128,) * 4), (512, 64, 16, None),
+        ):
+            x = (rng.standard_normal((rows, cols)) * 3).astype(dtype)
+            gain = rng.standard_normal(cols if group is None else group).astype(dtype)
+            kw = dict(eps=1e-6, group_size=group, segments=segments)
+            _assert_bitwise_like_reference(
+                lambda a, g: ad.rms_norm(a, g, **kw), lambda a, g: _rms_norm_reference(a, g, **kw),
+                [x, gain], rng, f"{dtype.__name__} rows={rows} cols={cols} group={group} segments={segments}",
+            )
+
+
+def test_rope_bitwise_equals_previous_expression():
+    rng = np.random.default_rng(23)
+    for dtype in (np.float32, np.float64):
+        for positions, heads, hd in (
+            ([0], 1, 2), ([5], 4, 16), (list(range(12)), 2, 8), ([0, 1, 2, 0, 1, 0], 4, 16),
+            (list(range(64)) * 8, 4, 16), ([3, 0, 7, 7, 1], 3, 4),
+        ):
+            x = rng.standard_normal((len(positions), heads * hd)).astype(dtype)
+            _assert_bitwise_like_reference(
+                lambda a: ad.rope(a, hd, positions=positions), lambda a: _rope_reference(a, hd, positions=positions),
+                [x], rng, f"{dtype.__name__} T={len(positions)} heads={heads} hd={hd}",
+            )
+
+
+def test_causal_attention_leaves_the_shared_mask_alone():
+    q = leaf(np.random.default_rng(24).standard_normal((5, 4)))
+    ad.causal_attention(q, q, q, head_dim=2)
+    np.testing.assert_array_equal(ad._future_mask(5), np.triu(np.ones((5, 5), dtype=bool), 1))
+
+
 # --- grad_check behavior ----------------------------------------------------
 
 

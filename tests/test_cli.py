@@ -188,6 +188,69 @@ def test_train_plan_missing_fields_exit_2(tmp_path, capsys):
     assert "missing fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, field", [
+    ({"lr": "0.001"}, "lr"),
+    ({"mrl_dims": 8}, "mrl_dims"),
+    ({"epochs": True}, "epochs"),
+    ({"data": "canonical.jsonl"}, "data"),
+    ({"temprature": 0.05}, "temprature"),
+    ({"batch_size": 1}, "batch_size"),
+])
+def test_train_malformed_plan_field_exit_2(tmp_path, capsys, override, field):
+    # Rejected before any step runs, naming the plan file and the field.
+    plan = write_plan(tmp_path, [write_toy_canonical(tmp_path)], **override)
+    assert main(["train", "--plan", str(plan), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert str(plan) in err and field in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"hidden_sizes": 16}, "hidden_sizes"),
+    ({"num_heads": "2"}, "num_heads"),
+    ({"rope_base": "1e4"}, "rope_base"),
+    ({"vocab_size": None}, "vocab_size"),
+    ({"head_dim": 3}, "head_dim"),
+])
+def test_malformed_model_config_exit_2(tmp_path, capsys, change, field):
+    # The same check on the three ways in: param-count, a plan's model_config, a checkpoint.
+    good = json.loads(tiny_model_config(tmp_path).read_text())
+    bad = {k: v for k, v in {**good, **change}.items() if v is not None}
+    cfg = tmp_path / "bad-model.json"
+    cfg.write_text(json.dumps(bad))
+    plan = write_plan(tmp_path, [write_toy_canonical(tmp_path)], model_config=str(cfg))
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    (ckpt / "config.json").write_text(json.dumps(bad))
+    tasks = write_tasks(tmp_path)
+    for argv, path in (
+        (["param-count", "--config", str(cfg)], cfg),
+        (["train", "--plan", str(plan), "--out", str(tmp_path / "run")], cfg),
+        (["eval", "--checkpoint", str(ckpt), "--tasks", str(tasks)], ckpt / "config.json"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err, err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"foo": 1}, "unknown field 'foo'"),
+    ({"k": "10"}, "field 'k' must be an integer"),
+    ({"relevance": [{"0": 1.0}]}, "relevance set per query"),
+    ({"relevance": [1, 2, 3, 4]}, "field 'relevance' must be a list of objects"),
+])
+def test_eval_malformed_task_exit_2(trained_run, capsys, change, message):
+    tmp_path, _ = trained_run
+    task = json.loads(write_tasks(tmp_path).read_text())[0]
+    tasks = tmp_path / "bad-tasks.json"
+    tasks.write_text(json.dumps([{**task, **change}]))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint"), "--tasks", str(tasks)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tasks}: task 0 ('ret')" in err and message in err, err
+
+
 def test_train_determinism_byte_identical(tmp_path):
     data = write_toy_canonical(tmp_path)
     plan = write_plan(tmp_path, [data])

@@ -1,5 +1,6 @@
 """Metric-kernel oracles and harness behavior."""
 
+import csv
 import math
 import random
 
@@ -283,3 +284,12 @@ def test_overfit_set_links_queries_to_own_positive():
     samples, task = syn.overfit_retrieval_set(8, seed=17)
     assert task.corpus == [s.positive for s in samples]
     assert task.relevance == [{i: 1.0} for i in range(8)]
+
+
+def test_scores_csv_quotes_a_name_with_a_comma(tmp_path):
+    report = ev.EvalReport([ev.TaskScore("a,b", "STS", 0.5), ev.TaskScore("plain", "Retrieval", 1 / 3)], None, 0, 0, 0)
+    ev.write_scores_csv(tmp_path / "scores.csv", report)
+    text = (tmp_path / "scores.csv").read_text()
+    assert text == f'task,kind,score\n"a,b",STS,0.5\nplain,Retrieval,{1 / 3!r}\n'
+    with open(tmp_path / "scores.csv", newline="") as f:
+        assert [row[0] for row in csv.reader(f)] == ["task", "a,b", "plain"]

@@ -181,6 +181,19 @@ def test_length_chunks_cover_every_index_once_under_the_token_cap():
     assert split
 
 
+def test_length_chunks_fill_each_forward_to_the_token_cap():
+    # Every chunk but the last of its length holds MAX_FORWARD_TOKENS // t sequences.
+    lengths = [12] * 300 + [16] * 350 + [78] * 20 + [33] * 7 + [1] * 3
+    seqs = [[0] * t for t in np.random.default_rng(4).permutation(lengths)]
+    last = {}
+    for c in tm.length_chunks(seqs):
+        t = len(seqs[c[0]])
+        if t in last:
+            assert len(last[t]) == (1 if t == 1 else tm.MAX_FORWARD_TOKENS // t), t
+        last[t] = c
+    assert sorted(last) == [1, 12, 16, 33, 78]
+
+
 def test_raw_embeddings_bitwise_equal_one_sequence_at_a_time():
     for dtype in (np.float32, np.float64):
         m = tm.init_model(WIDE, seed=8).astype(dtype)
