@@ -242,75 +242,107 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(n * t, heads * hd)
 
 
-def _length_groups(lengths: Sequence[int] | None, rows: int) -> list[tuple[int, slice | np.ndarray]]:
-    """(number of sequences, their rows) per distinct length, in order."""
+def _length_groups(lengths: Sequence[int] | None) -> list[tuple[int, slice | np.ndarray, slice | np.ndarray]]:
+    """(number of sequences, their rows, their indices) per distinct length, in order."""
     if lengths is None or len(set(lengths)) == 1:
-        return [(1 if lengths is None else len(lengths), slice(None))]
-    by_len: dict[int, list[np.ndarray]] = {}
-    for r0, r1 in _bounds(lengths, rows):
-        by_len.setdefault(r1 - r0, []).append(np.arange(r0, r1))
-    return [(len(seqs), np.concatenate(seqs)) for seqs in by_len.values()]
+        return [(1 if lengths is None else len(lengths), slice(None), slice(None))]
+    by_len: dict[int, list[int]] = {}
+    for s, t in enumerate(lengths):
+        by_len.setdefault(t, []).append(s)
+    starts = np.cumsum([0, *lengths])
+    return [
+        (len(seqs), np.concatenate([np.arange(starts[s], starts[s + 1]) for s in seqs]), np.array(seqs))
+        for seqs in by_len.values()
+    ]
 
 
 def _attend(qa: np.ndarray, ka: np.ndarray, va: np.ndarray, n: int, hd: int, n_kv: int, group: int):
-    """Attention over n equal-length sequences stacked as rows: output rows and vjp."""
-    t = qa.shape[0] // n
-    # (n, kv, group, T, hd) queries against (n, kv, 1, ., .) keys and values
-    q5 = _heads(qa, n, n_kv * group, hd).reshape(n, n_kv, group, t, hd)
+    """Attention over n equal-length sequences stacked as rows: output rows and vjp.
+    qa holds every query row, or only each sequence's last (one row per sequence)."""
+    t, heads = ka.shape[0] // n, n_kv * group
+    every_query = qa.shape[0] == n * t
+    if every_query:
+        # (n, kv, group, T, hd) queries against (n, kv, 1, ., .) keys and values
+        def to5(x):
+            return _heads(x, n, heads, hd).reshape(n, n_kv, group, t, hd)
+
+        def rows(x):
+            return _rows(x.reshape(n, heads, t, hd))
+    else:
+        # Last queries, two per product: each KV head's query heads, padded with
+        # a zero row to an even count, as the rows of (2, hd) @ (hd, T) products.
+        # A one-row product would go to gemv, and under OpenBLAS 0.3.31 a stack
+        # of four rounded unlike the full product's last row for some head_dim
+        # and T (float64 with head_dim 16, float32 with head_dim 32).
+        pairs = (group + 1) // 2
+
+        def to5(x):
+            x4 = np.zeros((n, n_kv, 2 * pairs, hd), dtype=x.dtype)
+            x4[:, :, :group] = x.reshape(n, n_kv, group, hd)
+            return x4.reshape(n, n_kv, pairs, 2, hd)
+
+        def rows(x):
+            return x.reshape(n, n_kv, 2 * pairs, hd)[:, :, :group].reshape(n, heads * hd)
+
+    q5 = to5(qa)
     kt5 = np.ascontiguousarray(ka.reshape(n, t, n_kv, hd).transpose(0, 2, 3, 1))[:, :, None]
     v5 = _heads(va, n, n_kv, hd)[:, :, None]
     # Masked softmax in place on the scores: hidden positions are -inf before the
     # max, so exp gives them exactly the 0 a masked select would, and every other
-    # entry goes through the same ops in the same order.
+    # entry goes through the same ops in the same order. A last query hides nothing.
     p = q5 @ kt5
-    np.copyto(p, -np.inf, where=_future_mask(t))
+    if every_query:
+        np.copyto(p, -np.inf, where=_future_mask(t))
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     out = p @ v5
 
     def group_sum(x):
-        # Query heads add into their shared KV head in head order, from zero.
+        # Query heads (or pairs of them) add into their shared KV head in head order, from zero.
         acc = np.zeros_like(x[:, :, 0])
-        for j in range(group):
+        for j in range(x.shape[2]):
             acc += x[:, :, j]
         return acc
 
     def vjp(gout):
-        g5 = _heads(gout, n, n_kv * group, hd).reshape(n, n_kv, group, t, hd)
+        g5 = to5(gout)
         gp = g5 @ v5.swapaxes(-1, -2)
         gv = group_sum(p.swapaxes(-1, -2) @ g5)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
         gq = gs @ kt5.swapaxes(-1, -2)
         gkt = group_sum(q5.swapaxes(-1, -2) @ gs)
-        return (
-            _rows(gq.reshape(n, n_kv * group, t, hd)),
-            _rows(gkt.swapaxes(-1, -2)),
-            _rows(gv),
-        )
+        return rows(gq), _rows(gkt.swapaxes(-1, -2)), _rows(gv)
 
-    return _rows(out.reshape(n, n_kv * group, t, hd)), vjp
+    return rows(out), vjp
 
 
 @_primitive("causal_attention", "causal softmax attention over stacked sequences, grouped KV heads")
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int, lengths: Sequence[int] | None = None) -> Tensor:
-    """Rows are sequences of the given lengths stacked in order (default: one
-    sequence); columns are heads of head_dim. Query head h reads KV head
-    h // (q_heads // kv_heads). Scores are q @ k^T as given (scale q beforehand),
-    softmax over positions <= t within the sequence.
+def causal_attention(
+    q: Tensor, k: Tensor, v: Tensor, head_dim: int, lengths: Sequence[int] | None = None, last_query: bool = False
+) -> Tensor:
+    """Rows of k and v are sequences of the given lengths stacked in order
+    (default: one sequence), and so are the rows of q, or with last_query only
+    each sequence's last query, one row per sequence. Columns are heads of
+    head_dim. Query head h reads KV head h // (q_heads // kv_heads). Scores are
+    q @ k^T as given (scale q beforehand), softmax over positions <= t within the
+    sequence.
 
     Sequences of equal length are attended together. Every matmul takes
     contiguous (T, head_dim) and (head_dim, T) operands, or their transposed views
     in the vjp, exactly as a per-head loop of 2-D matmuls over each sequence
-    alone would, so the result rounds the same as that loop."""
+    alone would, so the result rounds the same as that loop. Last queries of the
+    heads sharing a KV head go two at a time as the rows of (2, head_dim) @
+    (head_dim, T) products, which round as the full products' last rows."""
     qa, ka, va = q.values, k.values, v.values
     shapes = (qa.shape, ka.shape, va.shape)
     _shape_check("causal_attention", qa.ndim == ka.ndim == 2 and ka.shape == va.shape, *shapes)
-    rows, hd = qa.shape[0], head_dim
+    rows, hd = ka.shape[0], head_dim
     n_kv = ka.shape[1] // hd
+    seqs = 1 if lengths is None else len(lengths)
     _shape_check(
         "causal_attention",
-        rows == ka.shape[0] and rows > 0 and n_kv > 0
+        qa.shape[0] == (seqs if last_query else rows) and rows > 0 and n_kv > 0
         and qa.shape[1] % (n_kv * hd) == 0 and ka.shape[1] == n_kv * hd,
         *shapes,
     )
@@ -318,16 +350,16 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int, lengths: Se
     group = qa.shape[1] // (n_kv * hd)
     out = np.empty_like(qa)
     parts = []
-    for n, sel in _length_groups(lengths, rows):
-        out[sel], part_vjp = _attend(qa[sel], ka[sel], va[sel], n, hd, n_kv, group)
-        parts.append((sel, part_vjp))
+    for n, kv_sel, seq_sel in _length_groups(lengths):
+        q_sel = seq_sel if last_query else kv_sel
+        out[q_sel], part_vjp = _attend(qa[q_sel], ka[kv_sel], va[kv_sel], n, hd, n_kv, group)
+        parts.append((q_sel, kv_sel, part_vjp))
 
     def vjp(gout):
-        grads = (np.empty_like(qa), np.empty_like(ka), np.empty_like(va))
-        for sel, part_vjp in parts:
-            for full, part in zip(grads, part_vjp(gout[sel])):
-                full[sel] = part
-        return grads
+        gq, gk, gv = np.empty_like(qa), np.empty_like(ka), np.empty_like(va)
+        for q_sel, kv_sel, part_vjp in parts:
+            gq[q_sel], gk[kv_sel], gv[kv_sel] = part_vjp(gout[q_sel])
+        return gq, gk, gv
 
     return _make("causal_attention", out, (q, k, v), vjp)
 

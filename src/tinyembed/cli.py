@@ -178,7 +178,9 @@ def cmd_train(args) -> int:
         state_path = Path(args.resume) / "training_state.json"
         if state_path.exists():
             with open(state_path) as f:
-                start_step = json.load(f)["step"]
+                state = json.load(f)
+            td.check_fields(str(state_path), state, {"step": "a non-negative integer"}, ("step",))
+            start_step = state["step"]
     else:
         if not raw.get("model_config"):
             raise UserError("plan needs model_config (or pass --resume)")

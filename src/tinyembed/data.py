@@ -35,6 +35,7 @@ class SchemaError(ValueError):
 
 _FIELD_KINDS: dict[str, Callable[[object], bool]] = {
     "an integer": lambda v: type(v) is int,
+    "a non-negative integer": lambda v: type(v) is int and v >= 0,
     "a number": lambda v: type(v) in (int, float),
     "a string": lambda v: type(v) is str,
     "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),

@@ -40,6 +40,14 @@ class EvalTask:
                 raise ValueError("retrieval task needs queries, corpus, relevance")
             if len(self.relevance) != len(self.queries) or any(not r for r in self.relevance):
                 raise ValueError("retrieval task needs a non-empty relevance set per query")
+            if self.k < 1:
+                raise ValueError(f"k must be >= 1, got {self.k}")
+            for i, r in enumerate(self.relevance):
+                outside = [d for d in r if not 0 <= d < len(self.corpus)]
+                if outside:
+                    raise ValueError(f"query {i}: document {outside[0]} is outside the corpus of {len(self.corpus)}")
+                if not all(math.isfinite(g) and g >= 0 for g in r.values()) or max(r.values()) <= 0:
+                    raise ValueError(f"query {i}: gains must be finite, >= 0 and not all 0")
         elif self.kind == "STS":
             if not self.pairs or self.gold is None or len(self.pairs) != len(self.gold):
                 raise ValueError("sts task needs pairs and matching gold scores")
@@ -283,6 +291,8 @@ def mrl_sweep(model: EmbeddingModel, tasks: list[EvalTask], dims: list[int]) -> 
     """Mean score at each truncation dimension; embeddings computed once."""
     if not tasks:
         raise ValueError("mrl_sweep needs at least one task")
+    if not dims:
+        raise ValueError("mrl_sweep needs at least one dim")
     if list(dims) != sorted(set(dims)):
         raise ValueError("dims must be ascending and distinct")
     if dims[0] < 8 or dims[-1] > model.config.hidden_size:

@@ -170,17 +170,30 @@ def _check_tokens(cfg: ModelConfig, tokens: list[int]) -> None:
         raise ValueError("empty token sequence")
 
 
-def _forward(model: EmbeddingModel, seqs: list[list[int]], taps: TapRecorder | None) -> Tensor:
-    """Final hidden states of sequences stacked in order, (total tokens, hidden).
+def _forward(model: EmbeddingModel, seqs: list[list[int]], taps: TapRecorder | None, eos_only: bool = False) -> Tensor:
+    """Final hidden states of sequences stacked in order, (total tokens, hidden),
+    or with eos_only each sequence's last row, (len(seqs), hidden).
 
     No padding: the sequences may differ in length, and each one's rows, and each
     parameter's gradient (per-sequence parts added in sequence order), round as in
-    a forward of every sequence alone."""
+    a forward of every sequence alone.
+
+    With eos_only, the last layer computes keys and values on every row and the
+    rest only on each sequence's last row, which is all EOS pooling reads. Its
+    products then round as the full layer's last rows as long as none has one
+    row (numpy sends those to BLAS gemv, which rounds unlike gemm), so this needs
+    more than one sequence and none of one token; otherwise the last layer keeps
+    every row and the last rows are taken after it."""
     cfg = model.config
     p = model.params
     hd = cfg.head_dim
     seg = [len(seq) for seq in seqs]
     positions = np.concatenate([np.arange(t) for t in seg])
+    ends = np.cumsum(seg) - 1
+    narrow_at = cfg.num_layers - 1 if eos_only and len(seqs) > 1 and min(seg) > 1 else cfg.num_layers
+    # Segments and positions of the rows from the queries on: every row, until
+    # layer narrow_at takes one row per sequence.
+    q_seg, q_pos = seg, positions
 
     h = ad.gather_rows(p["token_embedding"], [t for seq in seqs for t in seq], segments=seg)
     if taps is not None:
@@ -188,25 +201,31 @@ def _forward(model: EmbeddingModel, seqs: list[list[int]], taps: TapRecorder | N
     for i in range(cfg.num_layers):
         lp = f"layers.{i}."
         x = ad.rms_norm(h, p[lp + "attn_norm"], eps=RMS_EPS, segments=seg)
-        q = ad.matmul(x, p[lp + "q_proj"], segments=seg)
         k = ad.matmul(x, p[lp + "k_proj"], segments=seg)
         v = ad.matmul(x, p[lp + "v_proj"], segments=seg)
-        q = ad.rms_norm(q, p[lp + "q_norm"], eps=RMS_EPS, group_size=hd, segments=seg)
         k = ad.rms_norm(k, p[lp + "k_norm"], eps=RMS_EPS, group_size=hd, segments=seg)
-        q = ad.rope(q, hd, base=cfg.rope_base, positions=positions)
         k = ad.rope(k, hd, base=cfg.rope_base, positions=positions)
+        if i == narrow_at:
+            # One row per sequence: no segments, so its products stay one gemm.
+            h, x = ad.gather_rows(h, ends), ad.gather_rows(x, ends)
+            q_seg, q_pos = None, positions[ends]
+        q = ad.matmul(x, p[lp + "q_proj"], segments=q_seg)
+        q = ad.rms_norm(q, p[lp + "q_norm"], eps=RMS_EPS, group_size=hd, segments=q_seg)
+        q = ad.rope(q, hd, base=cfg.rope_base, positions=q_pos)
         q = ad.scale(q, hd**-0.5)
-        attn = ad.causal_attention(q, k, v, hd, lengths=seg)
-        h = ad.add(h, ad.matmul(attn, p[lp + "o_proj"], segments=seg))
-        x = ad.rms_norm(h, p[lp + "mlp_norm"], eps=RMS_EPS, segments=seg)
+        attn = ad.causal_attention(q, k, v, hd, lengths=seg, last_query=q_seg is None)
+        h = ad.add(h, ad.matmul(attn, p[lp + "o_proj"], segments=q_seg))
+        x = ad.rms_norm(h, p[lp + "mlp_norm"], eps=RMS_EPS, segments=q_seg)
         act = ad.mul(
-            ad.silu(ad.matmul(x, p[lp + "gate_proj"], segments=seg)), ad.matmul(x, p[lp + "up_proj"], segments=seg)
+            ad.silu(ad.matmul(x, p[lp + "gate_proj"], segments=q_seg)), ad.matmul(x, p[lp + "up_proj"], segments=q_seg)
         )
-        h = ad.add(h, ad.matmul(act, p[lp + "down_proj"], segments=seg))
+        h = ad.add(h, ad.matmul(act, p[lp + "down_proj"], segments=q_seg))
         if taps is not None:
             taps.residual.append(h.values.copy())
             taps.mlp_act.append(act.values.copy())
-    return ad.rms_norm(h, p["final_norm"], eps=RMS_EPS, segments=seg)
+    if eos_only and q_seg is not None:
+        h, q_seg = ad.gather_rows(h, ends), None
+    return ad.rms_norm(h, p["final_norm"], eps=RMS_EPS, segments=q_seg)
 
 
 def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder | None = None) -> Tensor:
@@ -241,17 +260,16 @@ def length_chunks(token_seqs: list[list[int]]) -> list[list[int]]:
     return chunks
 
 
-def forward_chunks(model: EmbeddingModel, token_seqs: list[list[int]], taps: bool = False):
-    """Yield (indices, stacked final hidden states, TapRecorder or None) per length
-    chunk, without gradients. Rows of the hidden states are the chunk's sequences
-    in index order, len(token_seqs[i]) rows each."""
+def forward_chunks(model: EmbeddingModel, token_seqs: list[list[int]]):
+    """Yield (indices, TapRecorder) per length chunk, without gradients. Rows of
+    the taps are the chunk's sequences in index order, len(token_seqs[i]) rows each."""
     for seq in token_seqs:
         _check_tokens(model.config, seq)
     for idx in length_chunks(token_seqs):
-        recorder = TapRecorder() if taps else None
+        recorder = TapRecorder()
         with ad.no_grad():
-            hidden = _forward(model, [token_seqs[i] for i in idx], recorder)
-        yield idx, hidden.values, recorder
+            _forward(model, [token_seqs[i] for i in idx], recorder)
+        yield idx, recorder
 
 
 def raw_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) -> np.ndarray:
@@ -259,10 +277,11 @@ def raw_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) -> np.nda
     without gradients; row i equals raw_sequence_embedding(model, token_seqs[i])."""
     for seq in token_seqs:
         _check_terminal_eos(seq)
+        _check_tokens(model.config, seq)
     out = np.empty((len(token_seqs), model.config.hidden_size), dtype=model.params["final_norm"].values.dtype)
-    for idx, hidden, _ in forward_chunks(model, token_seqs):
-        t = len(token_seqs[idx[0]])
-        out[idx] = hidden[t - 1 :: t]
+    with ad.no_grad():
+        for idx in length_chunks(token_seqs):
+            out[idx] = _forward(model, [token_seqs[i] for i in idx], None, eos_only=True).values
     return out
 
 

@@ -59,7 +59,7 @@ def collect_activation_norms(model: EmbeddingModel, calibration: list[list[int]]
         raise ValueError("empty calibration set")
     cfg = model.config
     partials: list[list[tuple[np.ndarray, np.ndarray, float]]] = [[] for _ in calibration]
-    for idx, _, taps in forward_chunks(model, calibration, taps=True):
+    for idx, taps in forward_chunks(model, calibration):
         t = len(calibration[idx[0]])
         for j, seq_index in enumerate(idx):
             rows = slice(j * t, (j + 1) * t)

@@ -191,6 +191,15 @@ def _ragged_attention_case(q, k, v):
     return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, lengths=_RAGGED), _RO))
 
 
+# Each sequence's last query alone: one row per sequence of _RAGGED.
+_LQ = Tensor(RNG.standard_normal((4, 12)), requires_grad=False)
+_LO = Tensor(RNG.standard_normal((4, 12)), requires_grad=False)
+
+
+def _last_query_attention_case(q, k, v):
+    return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, lengths=_RAGGED, last_query=True), _LO))
+
+
 # Three queries and in-batch positives; query 0 has two negatives, query 1 none, query 2 one.
 _NQ = Tensor(RNG.standard_normal((3, 4)), requires_grad=False)
 _NP = Tensor(RNG.standard_normal((3, 4)), requires_grad=False)
@@ -263,6 +272,9 @@ GRAD_CASES = {
     "causal_attention_ragged_q": (lambda x: _ragged_attention_case(x, _RK, _RV), (8, 12), SMOOTH),
     "causal_attention_ragged_k": (lambda x: _ragged_attention_case(_RQ, x, _RV), (8, 4), SMOOTH),
     "causal_attention_ragged_v": (lambda x: _ragged_attention_case(_RQ, _RK, x), (8, 4), SMOOTH),
+    "causal_attention_last_q": (lambda x: _last_query_attention_case(x, _RK, _RV), (4, 12), SMOOTH),
+    "causal_attention_last_k": (lambda x: _last_query_attention_case(_LQ, x, _RV), (8, 4), SMOOTH),
+    "causal_attention_last_v": (lambda x: _last_query_attention_case(_LQ, _RK, x), (8, 4), SMOOTH),
     "info_nce_q": (lambda x: _info_nce_case(x, _NP, _NN0), (3, 4), SMOOTH),
     "info_nce_p": (lambda x: _info_nce_case(_NQ, x, _NN0), (3, 4), SMOOTH),
     "info_nce_n": (lambda x: _info_nce_case(_NQ, _NP, x), (2, 4), SMOOTH),
@@ -378,6 +390,32 @@ def test_ragged_causal_attention_bitwise_equals_one_sequence_at_a_time():
                 pairs = ((ragged.values, alone.values), (q.grad, qs.grad), (k.grad, ks.grad), (v.grad, vs.grad))
                 for got, want in pairs:
                     np.testing.assert_array_equal(got[r0:r1], want, err_msg=f"{dtype.__name__} rows {r0}:{r1}")
+
+
+def test_last_query_attention_equals_the_last_rows_of_full_attention():
+    # Last queries go two to a product (a one-row product would be gemv), which
+    # rounds as the full attention's last rows. Gradients are checked against the
+    # full attention's with the output gradient on the last rows only.
+    rng = np.random.default_rng(17)
+    lengths = [3, 1, 5, 3, 1, 8, 5, 2, 3]
+    ends = np.cumsum(lengths) - 1
+    for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+        for kv, group, hd in ((1, 1, 2), (2, 2, 8), (2, 3, 4), (1, 4, 16), (1, 5, 32)):
+            q0, k0, v0 = (rng.standard_normal((ends[-1] + 1, c)).astype(dtype) for c in (kv * group * hd, kv * hd, kv * hd))
+            w0 = np.zeros_like(q0)
+            w0[ends] = rng.standard_normal((len(lengths), q0.shape[1]))
+            q, k, v = (Tensor(x.copy(), requires_grad=True) for x in (q0, k0, v0))
+            full = ad.causal_attention(q, k, v, head_dim=hd, lengths=lengths)
+            ad.backward(ad.sum_all(ad.mul(full, Tensor(w0))))
+            ql, kl, vl = (Tensor(x.copy(), requires_grad=True) for x in (q0[ends], k0, v0))
+            last = ad.causal_attention(ql, kl, vl, head_dim=hd, lengths=lengths, last_query=True)
+            ad.backward(ad.sum_all(ad.mul(last, Tensor(w0[ends]))))
+            msg = f"{dtype.__name__} kv={kv} group={group} hd={hd}"
+            np.testing.assert_array_equal(last.values, full.values[ends], err_msg=msg)
+            for got, want in ((ql.grad, q.grad[ends]), (kl.grad, k.grad), (vl.grad, v.grad)):
+                np.testing.assert_allclose(got, want, rtol=tol, atol=tol, err_msg=msg)
+    with pytest.raises(ad.ShapeError, match="causal_attention"):
+        ad.causal_attention(leaf(q0), leaf(k0), leaf(v0), head_dim=16, lengths=lengths, last_query=True)
 
 
 def test_segmented_matmul_equals_per_segment_products_bitwise():

@@ -175,6 +175,20 @@ def test_train_resume_continues_step_numbering(tmp_path):
     assert rows[0].startswith("4,")  # first run ended at step 3
 
 
+@pytest.mark.parametrize("state, field", [({}, "missing fields: step"), ({"step": "7"}, "field 'step'"), ({"step": -1}, "field 'step'")])
+def test_train_resume_malformed_training_state_exit_2(tmp_path, capsys, state, field):
+    data = write_toy_canonical(tmp_path)
+    plan = write_plan(tmp_path, [data])
+    assert main(["train", "--plan", str(plan), "--out", str(tmp_path / "run1")]) == 0
+    state_path = tmp_path / "run1" / "checkpoint" / "training_state.json"
+    state_path.write_text(json.dumps(state))
+    capsys.readouterr()
+    code = main(["train", "--plan", str(plan), "--out", str(tmp_path / "run2"), "--resume", str(state_path.parent)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(state_path) in err and field in err, err
+
+
 def test_train_missing_teacher_exit_2(tmp_path, capsys):
     data = write_toy_canonical(tmp_path)
     plan = write_plan(tmp_path, [data], teacher=str(tmp_path / "missing-ckpt"))
@@ -239,6 +253,9 @@ def test_malformed_model_config_exit_2(tmp_path, capsys, change, field):
     ({"k": "10"}, "field 'k' must be an integer"),
     ({"relevance": [{"0": 1.0}]}, "relevance set per query"),
     ({"relevance": [1, 2, 3, 4]}, "field 'relevance' must be a list of objects"),
+    ({"relevance": [{"0": 0.0}] * 4}, "query 0: gains must be finite, >= 0 and not all 0"),
+    ({"relevance": [{"1": 1.0}, {"9999": 1.0}, {"1": 1.0}, {"1": 1.0}]}, "query 1: document 9999 is outside the corpus"),
+    ({"k": 0}, "k must be >= 1"),
 ])
 def test_eval_malformed_task_exit_2(trained_run, capsys, change, message):
     tmp_path, _ = trained_run
@@ -299,6 +316,15 @@ def test_sweep_mrl_two_rows(trained_run):
     ]) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "dim,mean_score" and len(lines) == 3
+
+
+@pytest.mark.parametrize("dims", ["", ","])
+def test_sweep_mrl_empty_dims_exit_2(trained_run, capsys, dims):
+    tmp_path, _ = trained_run
+    tasks = write_tasks(tmp_path)
+    capsys.readouterr()
+    assert main(["sweep-mrl", "--checkpoint", str(tmp_path / "run" / "checkpoint"), "--tasks", str(tasks), "--dims", dims]) == 2
+    assert "at least one dim" in capsys.readouterr().err
 
 
 def test_eval_dim_out_of_range_exit_2(trained_run, capsys):

@@ -1,5 +1,7 @@
 """Architecture tests: init determinism, causality, EOS pooling, parameter accounting, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,15 +196,42 @@ def test_length_chunks_fill_each_forward_to_the_token_cap():
     assert sorted(last) == [1, 12, 16, 33, 78]
 
 
-def test_raw_embeddings_bitwise_equal_one_sequence_at_a_time():
+NARROWING = [(g, n) for g in (1, 2, 4) for n in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("group, layers", NARROWING, ids=[f"group{g}-layers{n}" for g, n in NARROWING])
+def test_raw_embeddings_bitwise_equal_one_sequence_at_a_time(group, layers):
+    # group: query heads per KV head.
+    cfg = replace(WIDE, num_heads=WIDE.num_kv_heads * group, num_layers=layers)
     for dtype in (np.float32, np.float64):
-        m = tm.init_model(WIDE, seed=8).astype(dtype)
+        m = tm.init_model(cfg, seed=8).astype(dtype)
         seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=1)]
         got = tm.raw_embeddings(m, seqs)
         with ad.no_grad():
             want = np.stack([tm.raw_sequence_embedding(m, s).values[0] for s in seqs])
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+def test_raw_embeddings_run_the_last_layer_on_eos_rows_only(monkeypatch):
+    # Chunks: "" (one token), two of 4 tokens, two of 5. Only chunks of several
+    # sequences narrow, and only in the last layer.
+    texts = ["abc", "", "ghij", "def", "klmn"]
+    rows = {}
+    matmul = ad.matmul
+
+    def spy(a, b, segments=None):
+        rows.setdefault(id(b), []).append(a.shape[0])
+        return matmul(a, b, segments)
+
+    monkeypatch.setattr(ad, "matmul", spy)
+    for cfg in (WIDE, replace(WIDE, num_heads=WIDE.num_kv_heads, num_layers=3)):
+        m = tm.init_model(cfg, seed=4)
+        rows.clear()
+        tm.raw_embeddings(m, [tokenize(t, cfg.max_seq_len) for t in texts])
+        assert rows[id(m.params["layers.0.gate_proj"])] == [1, 8, 10]
+        assert rows[id(m.params[f"layers.{cfg.num_layers - 1}.gate_proj"])] == [1, 2, 2]
+        assert rows[id(m.params[f"layers.{cfg.num_layers - 1}.k_proj"])] == [1, 8, 10]
 
 
 def test_embed_texts_bitwise_equal_embed_text():
