@@ -565,28 +565,27 @@ def _nll_grad(p: np.ndarray, t: np.ndarray, g) -> np.ndarray:
 
 
 @_primitive("info_nce", "mean over queries of cross_entropy(inv_t * q_i @ candidates_i^T) (scalar output)")
-def info_nce(q: Tensor, p: Tensor, negs: Sequence[Tensor | None] | None, inv_t: float, in_batch: bool) -> Tensor:
-    """Query i's candidates are p_i (the target), then its negatives (a (n, d)
-    tensor, None or empty), then with in_batch every other p_j in row order.
+def info_nce(emb: Tensor, b: int, neg_counts: Sequence[int], inv_t: float, in_batch: bool) -> Tensor:
+    """emb's rows are b queries, then their b positives, then each query's
+    neg_counts[i] negatives in query order. Query i's candidates are p_i (the
+    target), then its negatives, then with in_batch every other p_j in row order.
 
     Rounds exactly like one gather_rows/concat/transpose/matmul/scale/
     cross_entropy chain per query: each query's scores are a one-row product
     (gemv) with its contiguous transposed candidates, the per-query losses are
-    summed in query order from the first, and p's gradient rows add each
-    query's part in query order."""
-    qv, pv = q.values, p.values
-    _shape_check("info_nce", qv.ndim == 2 and pv.shape == qv.shape, qv.shape, pv.shape)
-    b, d = qv.shape
-    negs = [None] * b if negs is None else [n if n is not None and n.shape[0] > 0 else None for n in negs]
-    given = [n for n in negs if n is not None]
-    shapes = [n.shape for n in given]
-    _shape_check("info_nce", len(negs) == b and all(len(s) == 2 and s[1] == d for s in shapes), qv.shape, *shapes)
-    # Candidate rows: p, then the negatives in query order.
-    rows = np.concatenate([pv] + [n.values for n in given]) if given else pv
+    summed in query order from the first, and the candidate rows' gradients add
+    each query's part in query order."""
+    ev = emb.values
+    _shape_check(
+        "info_nce",
+        ev.ndim == 2 and len(neg_counts) == b >= 1 and min(neg_counts) >= 0 and ev.shape[0] == 2 * b + sum(neg_counts),
+        ev.shape,
+        (b, tuple(neg_counts)),
+    )
+    qv, rows = ev[:b], ev[b:]  # candidate rows: the positives, then the negatives
     inv_t, target = float(inv_t), np.zeros(1, dtype=np.intp)
     queries, total, start = [], None, b
-    for i in range(b):
-        n = 0 if negs[i] is None else negs[i].shape[0]
+    for i, n in enumerate(neg_counts):
         others = [j for j in range(b) if j != i] if in_batch else []
         idx = np.array([i, *range(start, start + n), *others])
         start += n
@@ -597,15 +596,15 @@ def info_nce(q: Tensor, p: Tensor, negs: Sequence[Tensor | None] | None, inv_t: 
 
     def vjp(g):
         g_loss = g * (1.0 / b)
-        gq, g_rows = np.zeros_like(qv), np.zeros_like(rows)
+        g_emb = np.zeros_like(ev)
+        gq, g_rows = g_emb[:b], g_emb[b:]
         for i, (idx, qi, cand_t, soft) in enumerate(queries):
             gs = _nll_grad(soft, target, g_loss) * inv_t
             gq[i] += (gs @ cand_t.T)[0]
             g_rows[idx] += (qi.T @ gs).T
-        ends = np.cumsum([b] + [n.shape[0] for n in given])
-        return (gq, g_rows[:b], *(g_rows[lo:hi] for lo, hi in zip(ends, ends[1:])))
+        return (g_emb,)
 
-    return _make("info_nce", total * (1.0 / b), (q, p, *given), vjp)
+    return _make("info_nce", total * (1.0 / b), (emb,), vjp)
 
 
 _rope_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}

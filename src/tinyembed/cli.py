@@ -21,7 +21,7 @@ from .autodiff import NonFiniteError
 from .data import SchemaError
 from .pruning import PruneSpec, prune_model
 from .tokenizer import tokenize
-from .training import LossConfig, StagePlan, train_stage, write_metrics_csv
+from .training import LossConfig, StagePlan, train_stage
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 

@@ -34,6 +34,7 @@ class SchemaError(ValueError):
 
 
 _FIELD_KINDS: dict[str, Callable[[object], bool]] = {
+    "a boolean": lambda v: type(v) is bool,
     "an integer": lambda v: type(v) is int,
     "a non-negative integer": lambda v: type(v) is int and v >= 0,
     "a number": lambda v: type(v) in (int, float),
@@ -91,18 +92,17 @@ class CanonicalSample:
     def to_json(self) -> str:
         return json.dumps(asdict(self), ensure_ascii=False, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CanonicalSample":
-        return cls(
-            format=d["format"],
-            query=d["query"],
-            positive=d["positive"],
-            negatives=list(d["negatives"]),
-            source=d["source"],
-            task_type=d["task_type"],
-            symmetric=bool(d["symmetric"]),
-            instruction=d.get("instruction"),
-        )
+
+CANONICAL_FIELDS = {
+    "format": "a string",
+    "query": "a string",
+    "positive": "a string",
+    "negatives": "a list of strings",
+    "source": "a string",
+    "task_type": "a string",
+    "symmetric": "a boolean",
+    "instruction": "a string or null",
+}
 
 
 @dataclass
@@ -404,13 +404,14 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
 
 def read_samples(path: str | Path) -> list[CanonicalSample]:
     samples = []
+    required = [k for k in CANONICAL_FIELDS if k != "instruction"]
     for lineno, record in read_jsonl(path):
+        where = f"{path}:{lineno}"
+        check_fields(where, record, CANONICAL_FIELDS, required)
         try:
-            samples.append(CanonicalSample.from_dict(record))
-        except KeyError as e:
-            raise SchemaError(f"{path}:{lineno}: canonical record missing field {e}") from e
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"{path}:{lineno}: {e}") from e
+            samples.append(CanonicalSample(**record))
+        except ValueError as e:
+            raise SchemaError(f"{where}: {e}") from e
     return samples
 
 

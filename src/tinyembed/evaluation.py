@@ -232,10 +232,8 @@ class _EmbedCache:
         self.raw.update(zip(new, raw_embeddings(self.model, [tokenize(t, max_len) for t in new])))
 
     def unit(self, text: str, dim: int | None) -> np.ndarray:
-        raw = self.raw.get(text)
-        if raw is None:
-            self.warm([text])
-            raw = self.raw[text]
+        """A text of a warm call, truncated to dim and renormed."""
+        raw = self.raw[text]
         d = raw.shape[0] if dim is None else dim
         return truncate_and_renorm_array(raw[None, :], d)[0]
 

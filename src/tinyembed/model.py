@@ -174,9 +174,10 @@ def _forward(model: EmbeddingModel, seqs: list[list[int]], taps: TapRecorder | N
     """Final hidden states of sequences stacked in order, (total tokens, hidden),
     or with eos_only each sequence's last row, (len(seqs), hidden).
 
-    No padding: the sequences may differ in length, and each one's rows, and each
+    No padding: the sequences may differ in length. Each one's rows, and each
     parameter's gradient (per-sequence parts added in sequence order), round as in
-    a forward of every sequence alone.
+    a forward of every sequence alone for the configs the tests pin and the
+    benchmark teacher, not for every shape (README, "Shape caveat").
 
     With eos_only, the last layer computes keys and values on every row and the
     rest only on each sequence's last row, which is all EOS pooling reads. Its
@@ -245,8 +246,9 @@ def length_chunks(token_seqs: list[list[int]]) -> list[list[int]]:
     """Indices of token_seqs split into forward chunks of equal token length (input
     order within a length), each at most MAX_FORWARD_TOKENS tokens or one sequence.
 
-    Equal lengths need no padding, so no pad position can reach a result; every
-    row rounds as it would in a forward of its sequence alone.
+    Equal lengths need no padding, so no pad position can reach a result. Every
+    row rounds as in a forward of its sequence alone for the configs the tests
+    pin and the benchmark teacher, not for every shape (README, "Shape caveat").
     """
     by_len: dict[int, list[int]] = {}
     for i, seq in enumerate(token_seqs):
@@ -274,7 +276,9 @@ def forward_chunks(model: EmbeddingModel, token_seqs: list[list[int]]):
 
 def raw_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) -> np.ndarray:
     """Unnormalized EOS hidden states of many sequences, (len(token_seqs), hidden),
-    without gradients; row i equals raw_sequence_embedding(model, token_seqs[i])."""
+    without gradients. Row i equals raw_sequence_embedding(model, token_seqs[i])
+    for the configs the tests pin and the benchmark teacher, not for every shape
+    (README, "Shape caveat")."""
     for seq in token_seqs:
         _check_terminal_eos(seq)
         _check_tokens(model.config, seq)
@@ -296,7 +300,7 @@ def raw_sequence_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) 
     """Unnormalized EOS hidden states of many sequences, (len(token_seqs), hidden),
     from one packed forward that records gradients when enabled. Row i, and every
     parameter gradient, equals that of a forward of each sequence alone, the
-    sequences' contributions added in input order."""
+    sequences' contributions added in input order, with _forward's shape caveat."""
     for seq in token_seqs:
         _check_terminal_eos(seq)
         _check_tokens(model.config, seq)

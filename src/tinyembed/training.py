@@ -98,62 +98,44 @@ def truncate_and_renorm_array(emb: np.ndarray, d: int) -> np.ndarray:
     return sliced / norms
 
 
-def _check_unit_rows(name: str, t: Tensor) -> None:
-    worst = np.abs(np.linalg.norm(t.values, axis=1) - 1.0).max()
+def _check_unit_rows(name: str, rows: np.ndarray) -> None:
+    worst = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max(initial=0.0)
     if worst <= 1e-4:
         return
-    if not np.isfinite(t.values).all():
+    if not np.isfinite(rows).all():
         raise NonFiniteError(f"info_nce: {name} embeddings contain NaN or Inf")
     raise ValueError(f"info_nce: {name} embeddings are not unit-norm (worst |n-1| = {worst:.2e})")
 
 
-def info_nce(
-    query_embs: Tensor,
-    pos_embs: Tensor,
-    neg_embs: list[Tensor | None] | None,
-    temperature: float,
-    use_in_batch: bool,
-) -> Tensor:
+def info_nce(emb: Tensor, b: int, neg_counts: list[int], temperature: float, use_in_batch: bool) -> Tensor:
     """Temperature-scaled cross entropy over cosine similarities.
 
-    Candidates for query i are its positive, its explicit negatives, and (for
-    retrieval batches) the other queries' positives.
+    emb's rows are b queries, their b positives, then query i's neg_counts[i]
+    explicit negatives in query order. Candidates for query i are its positive,
+    its explicit negatives, and (for retrieval batches) the other queries'
+    positives.
     """
-    b = query_embs.shape[0]
-    if pos_embs.shape != query_embs.shape:
-        raise ShapeError(f"info_nce: queries {query_embs.shape} vs positives {pos_embs.shape}")
-    if neg_embs is not None and len(neg_embs) != b:
-        raise ValueError("info_nce: need one negative list per query")
-    _check_unit_rows("query", query_embs)
-    _check_unit_rows("positive", pos_embs)
-    negs = [] if neg_embs is None else [n for n in neg_embs if n is not None and n.shape[0] > 0]
-    if not negs and (not use_in_batch or b < 2):
+    ev = emb.values
+    for name, rows in (("query", ev[:b]), ("positive", ev[b : 2 * b]), ("negative", ev[2 * b :])):
+        _check_unit_rows(name, rows)
+    if not sum(neg_counts) and (not use_in_batch or b < 2):
         raise ValueError("info_nce: no candidates beyond each query's own positive")
-    for n in negs:
-        _check_unit_rows("negative", n)
-    return ad.info_nce(query_embs, pos_embs, neg_embs, 1.0 / temperature, use_in_batch)
+    return ad.info_nce(emb, b, neg_counts, 1.0 / temperature, use_in_batch)
 
 
 def matryoshka_info_nce(
-    raw_query_embs: Tensor,
-    raw_pos_embs: Tensor,
-    raw_neg_embs: list[Tensor | None] | None,
-    loss_cfg: LossConfig,
-    use_in_batch: bool,
+    raw_embs: Tensor, b: int, neg_counts: list[int], loss_cfg: LossConfig, use_in_batch: bool
 ) -> Tensor:
-    """Weighted mean of info_nce over truncated-and-renormed embedding prefixes."""
-    full = raw_query_embs.shape[1]
+    """Weighted mean of info_nce over truncated-and-renormed prefixes of the rows
+    info_nce takes."""
+    full = raw_embs.shape[1]
     if loss_cfg.mrl_dims[-1] != full:
         raise ValueError(f"last mrl dim {loss_cfg.mrl_dims[-1]} must equal embedding size {full}")
     weights = loss_cfg.weights()
     total = None
     for d, w in zip(loss_cfg.mrl_dims, weights):
-        q = truncate_and_renorm(raw_query_embs, d)
-        p = truncate_and_renorm(raw_pos_embs, d)
-        negs = None
-        if raw_neg_embs is not None:
-            negs = [None if n is None else truncate_and_renorm(n, d) for n in raw_neg_embs]
-        term = ad.scale(info_nce(q, p, negs, loss_cfg.temperature, use_in_batch), w)
+        emb = truncate_and_renorm(raw_embs, d)
+        term = ad.scale(info_nce(emb, b, neg_counts, loss_cfg.temperature, use_in_batch), w)
         total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / sum(weights))
 
@@ -267,22 +249,20 @@ def _train_step(
         for text in all_texts:
             if text not in token_cache:
                 token_cache[text] = tokenize(text, model.config.max_seq_len)
-        # One packed forward of every text; its EOS rows split back into the groups.
+        # One packed forward of every text: queries, positives, then each sample's negatives.
         eos = raw_sequence_embeddings(model, [token_cache[t] for t in all_texts])
-        b = len(queries)
-        raw_q = ad.gather_rows(eos, range(b))
-        raw_p = ad.gather_rows(eos, range(b, 2 * b))
-        ends = np.cumsum([2 * b] + [len(negs) for negs in negatives]).tolist()
-        raw_n = [ad.gather_rows(eos, range(lo, hi)) if hi > lo else None for lo, hi in zip(ends, ends[1:])]
-        contrastive = matryoshka_info_nce(raw_q, raw_p, raw_n, plan.loss, use_in_batch=batch.uses_in_batch_negatives)
+        neg_counts = [len(negs) for negs in negatives]
+        contrastive = matryoshka_info_nce(
+            eos, len(queries), neg_counts, plan.loss, use_in_batch=batch.uses_in_batch_negatives
+        )
         if teacher is not None:
-            student_rows = [raw_q, raw_p] + [t for t in raw_n if t is not None]
-            student_unit = ad.l2_normalize_rows(ad.concat(student_rows, axis=0))
             missing = [t for t in dict.fromkeys(all_texts) if t not in teacher_cache]
             max_len = teacher.config.max_seq_len
             for text, raw in zip(missing, raw_embeddings(teacher, [tokenize(t, max_len) for t in missing])):
                 teacher_cache[text] = raw / np.linalg.norm(raw)
-            dloss = distill_loss(student_unit, np.stack([teacher_cache[t] for t in all_texts]))
+            # A normalize of its own, not the full dim's: the gradients then add in
+            # the same order as when the two were separate graphs.
+            dloss = distill_loss(ad.l2_normalize_rows(eos), np.stack([teacher_cache[t] for t in all_texts]))
             total = ad.add(contrastive, ad.scale(dloss, plan.loss.distill_weight))
             dval = float(dloss.values)
         else:

@@ -94,12 +94,9 @@ def test_criterion_01_gradient_integrity():
     def total_loss(flat: Tensor) -> Tensor:
         model = model_from_flat(cfg, flat)
         rows = [raw_sequence_embedding(model, toks) for toks in token_seqs]
-        raw_q = ad.concat(rows[0:4], axis=0)
-        raw_p = ad.concat(rows[4:8], axis=0)
-        raw_n = [rows[8 + i] for i in range(4)]
-        contrastive = tt.matryoshka_info_nce(raw_q, raw_p, raw_n, loss_cfg, use_in_batch=True)
-        student_unit = ad.l2_normalize_rows(ad.concat(rows, axis=0))
-        distill = tt.distill_loss(student_unit, teacher_embs)
+        emb = ad.concat(rows, axis=0)
+        contrastive = tt.matryoshka_info_nce(emb, 4, [1] * 4, loss_cfg, use_in_batch=True)
+        distill = tt.distill_loss(ad.l2_normalize_rows(emb), teacher_embs)
         return ad.add(contrastive, ad.scale(distill, loss_cfg.distill_weight))
 
     point = Tensor(flatten_params(student))
@@ -116,9 +113,9 @@ def test_criterion_01_gradient_integrity():
 def test_criterion_02_info_nce_uniform_is_ln_c():
     start = time.time()
     for c in (2, 8, 64):
-        v = np.zeros((c, 16))
+        v = np.zeros((2 * c, 16))  # c queries and their c positives
         v[:, 0] = 1.0
-        loss = tt.info_nce(Tensor(v), Tensor(v.copy()), None, temperature=0.05, use_in_batch=True)
+        loss = tt.info_nce(Tensor(v), c, [0] * c, temperature=0.05, use_in_batch=True)
         assert abs(float(loss.values) - math.log(c)) < 1e-5, c
     elapsed = time.time() - start
     assert elapsed < 1

@@ -208,7 +208,7 @@ _NN2 = Tensor(RNG.standard_normal((1, 4)), requires_grad=False)
 
 
 def _info_nce_case(q, p, n0):
-    return ad.info_nce(q, p, [n0, None, _NN2], inv_t=1.5, in_batch=True)
+    return ad.info_nce(ad.concat([q, p, n0, _NN2], axis=0), 3, [2, 0, 1], inv_t=1.5, in_batch=True)
 
 
 SMOOTH = 1e-5
@@ -463,13 +463,16 @@ def test_causal_attention_rejects_bad_shapes():
 
 
 def test_info_nce_rejects_bad_shapes():
-    q = leaf(np.zeros((2, 4)))
-    with pytest.raises(ad.ShapeError, match="info_nce"):
-        ad.info_nce(q, leaf(np.zeros((3, 4))), None, inv_t=1.0, in_batch=True)
-    with pytest.raises(ad.ShapeError, match="info_nce"):
-        ad.info_nce(q, q, [leaf(np.zeros((1, 3))), None], inv_t=1.0, in_batch=True)
-    with pytest.raises(ad.ShapeError, match="info_nce"):
-        ad.info_nce(q, q, [None], inv_t=1.0, in_batch=True)
+    for rows, b, counts in [
+        ((5, 4), 2, [0, 0]),  # a row beyond the queries, positives and negatives
+        ((4, 4), 2, [1, 0]),  # a negative count with no row
+        ((4, 4), 2, [0]),  # one count for two queries
+        ((4, 4), 2, [1, -1]),
+        ((0, 4), 0, []),
+        ((4,), 2, [0, 0]),
+    ]:
+        with pytest.raises(ad.ShapeError, match="info_nce"):
+            ad.info_nce(leaf(np.zeros(rows)), b, counts, inv_t=1.0, in_batch=True)
 
 
 # --- forward kernels against the expressions they replaced ------------------

@@ -125,7 +125,12 @@ CANONICAL = {"format": "Retrieval", "query": "q", "positive": "p", "negatives": 
     {k: v for k, v in CANONICAL.items() if k != "positive"},
     {**CANONICAL, "format": "Nope"},
     {**CANONICAL, "format": "Clustering"},
-], ids=["missing-positive", "unknown-format", "clustering-without-negatives"])
+    {**CANONICAL, "negatives": "abc"},
+    {**CANONICAL, "symmetric": "false"},
+    {**CANONICAL, "query": 5},
+    {**CANONICAL, "label": 1},
+], ids=["missing-positive", "unknown-format", "clustering-without-negatives", "negatives-string",
+        "symmetric-string", "query-number", "unknown-field"])
 def test_stats_bad_canonical_record_exit_2(tmp_path, capsys, bad):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(CANONICAL) + "\n" + json.dumps(bad) + "\n")

@@ -2,7 +2,6 @@
 
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,71 +62,68 @@ def test_truncate_out_of_range():
 # --- info_nce ----------------------------------------------------------------
 
 
-def identical_embedding_batch(b, d=8):
-    v = np.zeros((b, d))
+def identical_rows(n, d=8):
+    v = np.zeros((n, d))
     v[:, 0] = 1.0
-    return Tensor(v), Tensor(v.copy())
+    return Tensor(v)
 
 
 @pytest.mark.parametrize("c", [2, 8, 64])
 def test_info_nce_uniform_candidates_is_ln_c(c):
-    q, p = identical_embedding_batch(c)
-    loss = tt.info_nce(q, p, None, temperature=0.05, use_in_batch=True)
+    loss = tt.info_nce(identical_rows(2 * c), c, [0] * c, temperature=0.05, use_in_batch=True)
     assert abs(float(loss.values) - math.log(c)) < 1e-5
 
 
 def test_info_nce_saturated_pair():
-    q = Tensor(np.array([[1.0, 0.0]]))
-    p = Tensor(np.array([[1.0, 0.0]]))
-    n = [Tensor(np.array([[-1.0, 0.0]]))]
-    loss = float(tt.info_nce(q, p, n, temperature=0.05, use_in_batch=False).values)
+    emb = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]))  # query, positive, negative
+    loss = float(tt.info_nce(emb, 1, [1], temperature=0.05, use_in_batch=False).values)
     assert abs(loss - math.log(1 + math.exp(-40))) < 1e-9
 
 
 def test_info_nce_in_batch_matches_log_softmax_oracle():
     s = np.array([[0.9, 0.1], [0.2, 0.8]])
-    q = Tensor(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
+    q = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
     pvals = np.zeros((2, 4))
     for j in range(2):
         pvals[j, :2] = s[:, j]
         pvals[j, 2 + j] = np.sqrt(1.0 - (s[:, j] ** 2).sum())
-    p = Tensor(pvals)
-    loss = float(tt.info_nce(q, p, None, temperature=1.0, use_in_batch=True).values)
+    emb = Tensor(np.concatenate([q, pvals]))
+    loss = float(tt.info_nce(emb, 2, [0, 0], temperature=1.0, use_in_batch=True).values)
     want = -np.mean([np.log(np.exp(s[i, i]) / np.exp(s[i]).sum()) for i in range(2)])
     assert abs(loss - want) < 1e-9
 
 
 def test_info_nce_invariant_to_negative_permutation():
     rng = np.random.default_rng(3)
-    q, p = Tensor(unit_rows(rng, 2, 8)), Tensor(unit_rows(rng, 2, 8))
-    negs = unit_rows(rng, 5, 8)
-    a = tt.info_nce(q, p, [Tensor(negs), None], 0.1, use_in_batch=True)
-    b = tt.info_nce(q, p, [Tensor(negs[::-1].copy()), None], 0.1, use_in_batch=True)
+    qp, negs = unit_rows(rng, 4, 8), unit_rows(rng, 5, 8)
+    a = tt.info_nce(Tensor(np.concatenate([qp, negs])), 2, [5, 0], 0.1, use_in_batch=True)
+    b = tt.info_nce(Tensor(np.concatenate([qp, negs[::-1]])), 2, [5, 0], 0.1, use_in_batch=True)
     assert abs(float(a.values) - float(b.values)) < 1e-12
 
 
 def test_info_nce_rejects_non_unit_inputs():
-    q = Tensor(np.full((2, 4), 0.9))
     with pytest.raises(ValueError, match="unit-norm"):
-        tt.info_nce(q, q, None, 0.05, use_in_batch=True)
+        tt.info_nce(Tensor(np.full((4, 4), 0.9)), 2, [0, 0], 0.05, use_in_batch=True)
 
 
 def test_info_nce_rejects_candidate_free_query():
-    q = Tensor(np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError, match="candidates"):
-        tt.info_nce(q, q, None, 0.05, use_in_batch=True)  # B=1, no negatives
+        tt.info_nce(identical_rows(2, 2), 1, [0], 0.05, use_in_batch=True)  # B=1, no negatives
 
 
 def test_info_nce_names_non_finite_inputs():
     # A NaN row's norm deviation is NaN, which no "> tolerance" test catches.
     rng = np.random.default_rng(10)
-    q, p, negs = Tensor(unit_rows(rng, 3, 8)), unit_rows(rng, 3, 8), unit_rows(rng, 2, 8)
-    negs[1, 3] = np.nan
+    emb = unit_rows(rng, 8, 8)  # 3 queries, 3 positives, query 1's two negatives
+    emb[7, 3] = np.nan
     with pytest.raises(ad.NonFiniteError, match="negative"):
-        tt.info_nce(q, Tensor(p), [None, Tensor(negs), None], 0.05, use_in_batch=False)
-    p[0, 0] = np.inf
+        tt.info_nce(Tensor(emb), 3, [0, 2, 0], 0.05, use_in_batch=False)
+    emb[3, 0] = np.inf
     with pytest.raises(ad.NonFiniteError, match="positive"):
-        tt.info_nce(q, Tensor(p), None, 0.05, use_in_batch=True)
+        tt.info_nce(Tensor(emb), 3, [0, 2, 0], 0.05, use_in_batch=True)
+    emb[2, 1] = np.nan
+    with pytest.raises(ad.NonFiniteError, match="query"):
+        tt.info_nce(Tensor(emb), 3, [0, 2, 0], 0.05, use_in_batch=True)
 
 
 def test_info_nce_gradient_check():
@@ -136,10 +132,7 @@ def test_info_nce_gradient_check():
     point = np.concatenate([unit_rows(rng, b, d), unit_rows(rng, b, d), unit_rows(rng, b * k, d)])
 
     def fn(x):
-        q = ad.gather_rows(x, list(range(b)))
-        p = ad.gather_rows(x, list(range(b, 2 * b)))
-        negs = [ad.gather_rows(x, [2 * b + i * k, 2 * b + i * k + 1]) for i in range(b)]
-        return tt.info_nce(q, p, negs, temperature=0.1, use_in_batch=True)
+        return tt.info_nce(x, b, [k] * b, temperature=0.1, use_in_batch=True)
 
     assert ad.grad_check(fn, Tensor(point), tolerance=1e-3) < 1e-3
 
@@ -149,39 +142,28 @@ def test_info_nce_gradient_check():
 
 def test_matryoshka_single_dim_equals_info_nce():
     rng = np.random.default_rng(5)
-    raw_q, raw_p = Tensor(rng.standard_normal((4, 16))), Tensor(rng.standard_normal((4, 16)))
+    raw = Tensor(rng.standard_normal((8, 16)))
     cfg = LossConfig(mrl_dims=(16,), temperature=0.07)
-    got = tt.matryoshka_info_nce(raw_q, raw_p, None, cfg, use_in_batch=True)
-    want = tt.info_nce(
-        ad.l2_normalize_rows(raw_q), ad.l2_normalize_rows(raw_p), None, 0.07, use_in_batch=True
-    )
+    got = tt.matryoshka_info_nce(raw, 4, [0] * 4, cfg, use_in_batch=True)
+    want = tt.info_nce(ad.l2_normalize_rows(raw), 4, [0] * 4, 0.07, use_in_batch=True)
     assert float(got.values) == float(want.values)
 
 
 def test_matryoshka_uniform_at_every_dim_is_ln_c():
-    v = np.zeros((4, 32))
-    v[:, 0] = 1.0
     cfg = LossConfig(mrl_dims=(8, 32), temperature=0.05)
-    loss = tt.matryoshka_info_nce(Tensor(v), Tensor(v.copy()), None, cfg, use_in_batch=True)
+    loss = tt.matryoshka_info_nce(identical_rows(8, 32), 4, [0] * 4, cfg, use_in_batch=True)
     assert abs(float(loss.values) - math.log(4)) < 1e-5
 
 
 def test_matryoshka_is_weighted_mean_of_per_dim_losses():
     rng = np.random.default_rng(6)
-    raw_q, raw_p = rng.standard_normal((3, 32)), rng.standard_normal((3, 32))
-    raw_n = [rng.standard_normal((2, 32)) for _ in range(3)]
+    raw = rng.standard_normal((12, 32))  # 3 queries, 3 positives, two negatives each
     cfg = LossConfig(mrl_dims=(8, 16, 32), mrl_weights=(1.0, 2.0, 3.0), temperature=0.1)
-    got = float(
-        tt.matryoshka_info_nce(
-            Tensor(raw_q), Tensor(raw_p), [Tensor(n) for n in raw_n], cfg, use_in_batch=True
-        ).values
-    )
+    got = float(tt.matryoshka_info_nce(Tensor(raw), 3, [2, 2, 2], cfg, use_in_batch=True).values)
     per_dim = []
     for d in (8, 16, 32):
-        q = tt.truncate_and_renorm(Tensor(raw_q), d)
-        p = tt.truncate_and_renorm(Tensor(raw_p), d)
-        negs = [tt.truncate_and_renorm(Tensor(n), d) for n in raw_n]
-        per_dim.append(float(tt.info_nce(q, p, negs, 0.1, use_in_batch=True).values))
+        unit = tt.truncate_and_renorm(Tensor(raw), d)
+        per_dim.append(float(tt.info_nce(unit, 3, [2, 2, 2], 0.1, use_in_batch=True).values))
     want = (1 * per_dim[0] + 2 * per_dim[1] + 3 * per_dim[2]) / 6
     assert abs(got - want) < 1e-12
 
@@ -189,15 +171,18 @@ def test_matryoshka_is_weighted_mean_of_per_dim_losses():
 def test_matryoshka_loss_graph_does_not_grow_with_the_batch():
     cfg = LossConfig(mrl_dims=(8, 16, 32, 64))
 
-    def nodes(b):
+    def nodes(b, counts):
         rng = np.random.default_rng(b)
-        raw_q, raw_p = (Tensor(rng.standard_normal((b, 64)), requires_grad=True) for _ in range(2))
-        return len(ad.trace(tt.matryoshka_info_nce(raw_q, raw_p, None, cfg, use_in_batch=True)))
+        raw = Tensor(rng.standard_normal((2 * b + sum(counts), 64)), requires_grad=True)
+        return len(ad.trace(tt.matryoshka_info_nce(raw, b, counts, cfg, use_in_batch=True)))
 
-    assert nodes(4) == nodes(16)
+    assert nodes(4, [0] * 4) == nodes(16, [0] * 16)
+    assert nodes(4, [1, 2, 3, 1]) == nodes(16, [1 + i % 3 for i in range(16)])
 
 
 # --- the fused InfoNCE against the per-query graph it replaced ----------------
+# The reference takes the list form the loss had before it took stacked rows:
+# queries, positives, and one negatives tensor per query (None or empty for none).
 
 
 def _reference_info_nce(query_embs, pos_embs, neg_embs, temperature, use_in_batch):
@@ -208,8 +193,8 @@ def _reference_info_nce(query_embs, pos_embs, neg_embs, temperature, use_in_batc
         raise ad.ShapeError(f"info_nce: queries {query_embs.shape} vs positives {pos_embs.shape}")
     if neg_embs is not None and len(neg_embs) != b:
         raise ValueError("info_nce: need one negative list per query")
-    tt._check_unit_rows("query", query_embs)
-    tt._check_unit_rows("positive", pos_embs)
+    tt._check_unit_rows("query", query_embs.values)
+    tt._check_unit_rows("positive", pos_embs.values)
     has_negs = neg_embs is not None and any(n is not None and n.shape[0] > 0 for n in neg_embs)
     if not has_negs and (not use_in_batch or b < 2):
         raise ValueError("info_nce: no candidates beyond each query's own positive")
@@ -218,7 +203,7 @@ def _reference_info_nce(query_embs, pos_embs, neg_embs, temperature, use_in_batc
     for i in range(b):
         parts = [ad.gather_rows(pos_embs, [i])]
         if neg_embs is not None and neg_embs[i] is not None and neg_embs[i].shape[0] > 0:
-            tt._check_unit_rows("negative", neg_embs[i])
+            tt._check_unit_rows("negative", neg_embs[i].values)
             parts.append(neg_embs[i])
         if use_in_batch and b > 1:
             parts.append(ad.gather_rows(pos_embs, [j for j in range(b) if j != i]))
@@ -229,10 +214,25 @@ def _reference_info_nce(query_embs, pos_embs, neg_embs, temperature, use_in_batc
     return ad.scale(losses, 1.0 / b)
 
 
-def _reference_matryoshka(*args, **kwargs):
-    """tt.matryoshka_info_nce built on the per-query reference."""
-    with mock.patch.object(tt, "info_nce", _reference_info_nce):
-        return tt.matryoshka_info_nce(*args, **kwargs)
+def _reference_matryoshka(raw_q, raw_p, raw_n, loss_cfg, use_in_batch):
+    """matryoshka_info_nce in the list form: every tensor truncated and renormed
+    on its own, each dim's loss the per-query reference."""
+    weights = loss_cfg.weights()
+    total = None
+    for d, w in zip(loss_cfg.mrl_dims, weights):
+        q, p = tt.truncate_and_renorm(raw_q, d), tt.truncate_and_renorm(raw_p, d)
+        negs = [None if n is None else tt.truncate_and_renorm(n, d) for n in raw_n]
+        term = ad.scale(_reference_info_nce(q, p, negs, loss_cfg.temperature, use_in_batch), w)
+        total = term if total is None else ad.add(total, term)
+    return ad.scale(total, 1.0 / sum(weights))
+
+
+def _stacked(loss, q, p, negs, *args, **kwargs):
+    """loss (tt.info_nce or tt.matryoshka_info_nce) of the list form's tensors:
+    their rows stacked, and each query's negative count."""
+    emb = ad.concat([q, p] + [n for n in negs if n is not None and n.shape[0] > 0], axis=0)
+    counts = [0 if n is None else n.shape[0] for n in negs]
+    return loss(emb, q.shape[0], counts, *args, **kwargs)
 
 
 # (batch size, negatives per query: a count, or None for no tensor, in_batch)
@@ -271,8 +271,8 @@ def test_fused_info_nce_bitwise_equals_per_query_graph(case, dtype):
     for d in (8, 16, 24, 32, 64):
         arrays = [unit_rows(rng, b, d).astype(dtype), unit_rows(rng, b, d).astype(dtype)]
         arrays += [None if n is None else unit_rows(rng, n, d).astype(dtype) for n in counts]
-        fused, ref = (lambda q, p, n, fn=fn: fn(q, p, n, 0.05, use_in_batch=in_batch)
-                      for fn in (tt.info_nce, _reference_info_nce))
+        fused = lambda q, p, n: _stacked(tt.info_nce, q, p, n, 0.05, use_in_batch=in_batch)
+        ref = lambda q, p, n: _reference_info_nce(q, p, n, 0.05, use_in_batch=in_batch)
         _assert_fused_equals_reference(fused, ref, arrays, f"{case} {dtype.__name__} d={d}")
 
 
@@ -283,8 +283,8 @@ def test_fused_matryoshka_bitwise_equals_per_query_graph(dtype):
     arrays = [rng.standard_normal((8, 64)).astype(dtype) for _ in range(2)]
     arrays += [None if n is None else rng.standard_normal((n, 64)).astype(dtype) for n in counts]
     cfg = LossConfig(mrl_dims=(8, 16, 32, 64), mrl_weights=(1.0, 0.5, 2.0, 0.25), temperature=0.05)
-    fused, ref = (lambda q, p, n, fn=fn: fn(q, p, n, cfg, use_in_batch=True)
-                  for fn in (tt.matryoshka_info_nce, _reference_matryoshka))
+    fused = lambda q, p, n: _stacked(tt.matryoshka_info_nce, q, p, n, cfg, use_in_batch=True)
+    ref = lambda q, p, n: _reference_matryoshka(q, p, n, cfg, use_in_batch=True)
     _assert_fused_equals_reference(fused, ref, arrays, dtype.__name__)
 
 
