@@ -143,21 +143,25 @@ def _check_segments(op: str, segments: Sequence[int] | None, rows: int) -> None:
         _shape_check(op, len(segments) > 0 and min(segments) >= 1 and sum(segments) == rows, (rows,), tuple(segments))
 
 
-def _bounds(segments: Sequence[int] | None, rows: int) -> list[tuple[int, int]]:
-    """(start, stop) rows of consecutive segments; no segments is one segment of every row."""
-    if segments is None:
-        return [(0, rows)]
-    ends = list(itertools.accumulate(segments))
-    return list(zip([0] + ends[:-1], ends))
+def _runs(segments: Sequence[int] | None, rows: int) -> list[tuple[int, int, int]]:
+    """(first row, count, length) of each run of consecutive equal-length
+    segments; no segments is one segment of every row."""
+    runs, r0 = [], 0
+    for t, run in itertools.groupby([rows] if segments is None else segments):
+        n = len(list(run))
+        runs.append((r0, n, t))
+        r0 += n * t
+    return runs
 
 
-def _sum_in_order(like: np.ndarray, parts) -> np.ndarray:
-    """Per-segment partials added from zero in segment order: the order in which
-    backward adds the contributions of one separate graph per segment."""
-    acc = np.zeros_like(like)
-    for part in parts:
-        acc += part
-    return acc
+def _sum_slices(parts: np.ndarray) -> np.ndarray:
+    """parts[0] + parts[1] + ... added slice by slice from zero, as backward adds
+    the gradients of separate per-sequence graphs. np.add.reduce does that, but
+    sums one-element slices pairwise, so those take a cumulative sum (+ 0.0
+    gives a -0.0 total the sign a sum from zero would)."""
+    if parts[0].size == 1:
+        return np.cumsum(parts, axis=0)[-1] + 0.0
+    return np.add.reduce(parts, axis=0, initial=0.0)
 
 
 @_primitive("matmul", "matrix product of a (R,K) by b (K,C), optionally over row segments")
@@ -166,20 +170,33 @@ def matmul(a: Tensor, b: Tensor, segments: Sequence[int] | None = None) -> Tenso
     the same matmul of each sequence alone would: a one-row segment keeps its own
     one-row product (numpy sends it to BLAS gemv, which rounds unlike gemm), and
     the vjp takes g @ b.T per segment, because a transposed b rounds differently
-    in one stacked product. b's gradient is the sum of per-segment products."""
+    in one stacked product. b's gradient is the sum of per-segment products.
+
+    Each run of equal-length segments is one batched np.matmul over the run
+    viewed as (segments, length, .): numpy makes the same BLAS call per segment
+    as a loop of 2-D products would. b's per-segment parts of a run fill a
+    stack after the earlier runs' sum, which _sum_slices adds in order."""
     av, bv = a.values, b.values
     _shape_check("matmul", av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0], av.shape, bv.shape)
     _check_segments("matmul", segments, av.shape[0])
     out = av @ bv
     if segments is not None and len(segments) > 1 and 1 in segments:
-        for r0, r1 in _bounds(segments, av.shape[0]):
-            if r1 - r0 == 1:
-                out[r0:r1] = av[r0:r1] @ bv
+        for r0, n, t in _runs(segments, av.shape[0]):
+            if t == 1:
+                np.matmul(av[r0 : r0 + n, None], bv, out=out[r0 : r0 + n, None])
 
     def vjp(g):
-        bounds = _bounds(segments, av.shape[0])
-        ga = np.concatenate([g[r0:r1] @ bv.T for r0, r1 in bounds])
-        return ga, _sum_in_order(bv, (av[r0:r1].T @ g[r0:r1] for r0, r1 in bounds))
+        runs = _runs(segments, av.shape[0])
+        ga, gb = np.empty(av.shape, dtype=np.result_type(g, bv)), 0.0
+        parts = np.empty((1 + max(n for _, n, _ in runs), *bv.shape), dtype=np.result_type(av, g))
+        for r0, n, t in runs:
+            r1 = r0 + n * t
+            g_run = g[r0:r1].reshape(n, t, -1)
+            np.matmul(g_run, bv.T, out=ga[r0:r1].reshape(n, t, -1))
+            parts[0] = gb  # the earlier runs' sum
+            np.matmul(av[r0:r1].reshape(n, t, -1).swapaxes(1, 2), g_run, out=parts[1 : 1 + n])
+            gb = _sum_slices(parts[: 1 + n])
+        return ga, gb
 
     return _make("matmul", out, (a, b), vjp)
 
@@ -307,9 +324,11 @@ def _attend(qa: np.ndarray, ka: np.ndarray, va: np.ndarray, n: int, hd: int, n_k
 
     def vjp(gout):
         g5 = to5(gout)
-        gp = g5 @ v5.swapaxes(-1, -2)
         gv = group_sum(p.swapaxes(-1, -2) @ g5)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        # The softmax's vjp p * (gp - (gp * p).sum(-1)), in place on gp = g5 @ v5^T.
+        gs = g5 @ v5.swapaxes(-1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
         gq = gs @ kt5.swapaxes(-1, -2)
         gkt = group_sum(q5.swapaxes(-1, -2) @ gs)
         return rows(gq), _rows(gkt.swapaxes(-1, -2)), _rows(gv)
@@ -369,7 +388,9 @@ def rms_norm(
     a: Tensor, gain: Tensor, eps: float = 1e-6, group_size: int | None = None, segments: Sequence[int] | None = None
 ) -> Tensor:
     """With segments (row counts of stacked sequences), the gain gradient is the
-    sum of per-segment sums, as separate per-sequence graphs would add it."""
+    sum of per-segment sums, as separate per-sequence graphs would add it: one
+    sum per run of equal-length segments, added in order as in matmul. The vjp
+    works in place with the ops of the plain expression in the same order."""
     av = a.values
     _shape_check("rms_norm", av.ndim == 2, av.shape)
     rows, cols = av.shape
@@ -390,11 +411,22 @@ def rms_norm(
 
     def vjp(g):
         gg = g.reshape(rows, groups, size)
-        g_xhat = gg * x * inv
-        ggain = _sum_in_order(gv, (g_xhat[r0:r1].sum(axis=(0, 1)) for r0, r1 in _bounds(segments, rows)))
-        gw = gg * gv
-        gx = inv * gw - (inv**3 / size) * x * (gw * x).sum(axis=2, keepdims=True)
-        return gx.reshape(rows, cols), ggain
+        g_xhat = gg * x
+        g_xhat *= inv
+        parts = np.empty((len(segments or [rows]), size), dtype=g_xhat.dtype)
+        s = 0
+        for r0, n, t in _runs(segments, rows):
+            g_xhat[r0 : r0 + n * t].reshape(n, t * groups, size).sum(axis=1, out=parts[s : s + n])
+            s += n
+        # gx = inv * gw - (inv**3 / size) * x * (gw * x).sum(axis=2), gw = gg * gain
+        gx = gg * gv
+        np.multiply(gx, x, out=g_xhat)
+        dot = g_xhat.sum(axis=2, keepdims=True)
+        np.multiply(inv**3 / size, x, out=g_xhat)
+        g_xhat *= dot
+        gx *= inv
+        gx -= g_xhat
+        return gx.reshape(rows, cols), _sum_slices(parts)
 
     return _make("rms_norm", out, (a, gain), vjp)
 
@@ -408,7 +440,11 @@ def silu(a: Tensor) -> Tensor:
     np.divide(1.0, sig, out=sig)
 
     def vjp(g):
-        return (g * sig * (1.0 + av * (1.0 - sig)),)
+        gx = np.subtract(1.0, sig)  # g * sig * (1.0 + av * (1.0 - sig)), in place
+        gx *= av
+        gx += 1.0
+        gx *= g * sig
+        return (gx,)
 
     return _make("silu", av * sig, (a,), vjp)
 
@@ -416,8 +452,8 @@ def silu(a: Tensor) -> Tensor:
 @_primitive("gather_rows", "select rows by integer index (embedding lookup / element select)")
 def gather_rows(a: Tensor, indices: Sequence[int], segments: Sequence[int] | None = None) -> Tensor:
     """With segments (counts of consecutive indices, one per sequence), a's
-    gradient is built per segment and the parts added in order, as separate
-    per-sequence lookups would add them."""
+    gradient is built per segment and the parts added in order from zero, as
+    separate per-sequence lookups would add them (see matmul)."""
     av = a.values
     _shape_check("gather_rows", av.ndim == 2, av.shape)
     idx = np.asarray(indices, dtype=np.intp)
@@ -425,13 +461,16 @@ def gather_rows(a: Tensor, indices: Sequence[int], segments: Sequence[int] | Non
         raise IndexError(f"gather_rows: index out of range for {av.shape[0]} rows")
     _check_segments("gather_rows", segments, idx.size)
 
-    def scatter(r0, r1, g):
-        ga = np.zeros_like(av)
-        np.add.at(ga, idx[r0:r1], g[r0:r1])
-        return ga
-
     def vjp(g):
-        return (_sum_in_order(av, (scatter(r0, r1, g) for r0, r1 in _bounds(segments, idx.size))),)
+        # A part per segment holds only the distinct indices' rows; np.add.at
+        # adds each segment's rows into its part in row order.
+        lengths = [idx.size] if segments is None else segments
+        ids, slot = np.unique(idx, return_inverse=True)
+        parts = np.zeros((len(lengths), ids.size, av.shape[1]), dtype=av.dtype)
+        np.add.at(parts, (np.repeat(np.arange(len(lengths)), lengths), slot), g)
+        ga = np.zeros_like(av)
+        ga[ids] = _sum_slices(parts)
+        return (ga,)
 
     return _make("gather_rows", av[idx], (a,), vjp)
 
@@ -574,7 +613,12 @@ def info_nce(emb: Tensor, b: int, neg_counts: Sequence[int], inv_t: float, in_ba
     cross_entropy chain per query: each query's scores are a one-row product
     (gemv) with its contiguous transposed candidates, the per-query losses are
     summed in query order from the first, and the candidate rows' gradients add
-    each query's part in query order."""
+    each query's part in query order.
+
+    Queries with the same candidate count go together: one batched np.matmul
+    makes the same gemv call per query, np.cumsum adds the losses strictly in
+    query order, and the candidate rows' parts (exact outer products; zero for
+    a row that is not the query's candidate) are added in query order."""
     ev = emb.values
     _shape_check(
         "info_nce",
@@ -583,28 +627,33 @@ def info_nce(emb: Tensor, b: int, neg_counts: Sequence[int], inv_t: float, in_ba
         (b, tuple(neg_counts)),
     )
     qv, rows = ev[:b], ev[b:]  # candidate rows: the positives, then the negatives
-    inv_t, target = float(inv_t), np.zeros(1, dtype=np.intp)
-    queries, total, start = [], None, b
-    for i, n in enumerate(neg_counts):
-        others = [j for j in range(b) if j != i] if in_batch else []
-        idx = np.array([i, *range(start, start + n), *others])
-        start += n
-        qi, cand_t = qv[i : i + 1].copy(), rows[idx].T.copy()
-        nll, soft = _nll_softmax((qi @ cand_t) * inv_t, target)
-        total = nll[0] if total is None else total + nll[0]  # nll[0] is the one-row mean
-        queries.append((idx, qi, cand_t, soft))
+    inv_t, counts = float(inv_t), np.asarray(neg_counts, dtype=np.intp)
+    first_neg = b + np.cumsum(counts) - counts
+    others = np.arange(b - 1 if in_batch else 0)
+    nll, groups = np.empty(b, dtype=ev.dtype), []
+    for n in np.unique(counts):
+        qs = np.flatnonzero(counts == n)
+        # Row indices of each query's candidates: p_i, its negatives, the other p_j.
+        idx = np.concatenate([qs[:, None], first_neg[qs, None] + np.arange(n), others + (others >= qs[:, None])], axis=1)
+        qi, cand_t = qv[qs, None], np.ascontiguousarray(rows[idx].swapaxes(1, 2))
+        nll[qs], soft = _nll_softmax((qi @ cand_t)[:, 0] * inv_t, np.zeros(qs.size, dtype=np.intp))
+        groups.append((qs, idx, qi, cand_t, soft))
 
     def vjp(g):
         g_loss = g * (1.0 / b)
         g_emb = np.zeros_like(ev)
-        gq, g_rows = g_emb[:b], g_emb[b:]
-        for i, (idx, qi, cand_t, soft) in enumerate(queries):
-            gs = _nll_grad(soft, target, g_loss) * inv_t
-            gq[i] += (gs @ cand_t.T)[0]
-            g_rows[idx] += (qi.T @ gs).T
+        parts = np.zeros((b, *rows.shape), dtype=ev.dtype)  # query i's part of every candidate row
+        for qs, idx, qi, cand_t, soft in groups:
+            gs = soft.copy()  # _nll_grad of each one-row loss, times inv_t
+            gs[:, 0] -= 1.0
+            gs *= g_loss
+            gs *= inv_t
+            g_emb[qs] += (gs[:, None] @ cand_t.swapaxes(1, 2))[:, 0]
+            parts[qs[:, None], idx] = gs[:, :, None] * qi
+        g_emb[b:] = _sum_slices(parts)
         return (g_emb,)
 
-    return _make("info_nce", total * (1.0 / b), (emb,), vjp)
+    return _make("info_nce", np.cumsum(nll)[-1] * (1.0 / b), (emb,), vjp)
 
 
 _rope_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -720,9 +769,12 @@ def backward(loss: Tensor) -> ComputeGraph:
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             if not parent.requires_grad or g is None:
                 continue
+            if np.shape(g) != parent.values.shape:
+                raise ShapeError(f"backward: {node.op} gave a {np.shape(g)} gradient for a {parent.values.shape} input")
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.values)
-            parent.grad += g
+                parent.grad = np.array(g, dtype=parent.values.dtype)
+            else:
+                parent.grad += g
     return graph
 
 

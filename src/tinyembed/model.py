@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import check_fields
+from .data import SchemaError, check_fields
 from .tokenizer import EOS_ID, tokenize
 
 RMS_EPS = 1e-6
@@ -384,23 +384,31 @@ def save_checkpoint(model: EmbeddingModel, out_dir: str | Path) -> None:
 def load_checkpoint(ckpt_dir: str | Path, trainable: bool = True) -> EmbeddingModel:
     ckpt = Path(ckpt_dir)
     config = ModelConfig.from_json(ckpt / "config.json")
-    with open(ckpt / "manifest.json") as f:
+    where = ckpt / "manifest.json"
+    with open(where) as f:
         manifest = json.load(f)
-    raw = (ckpt / "weights.bin").read_bytes()
+    if not isinstance(manifest, list):
+        raise SchemaError(f"{where}: expected a JSON list of parameter entries, got {type(manifest).__name__}")
+    kinds = {"name": "a string", "shape": "a list of integers", "offset": "a non-negative integer"}
+    for i, entry in enumerate(manifest):
+        check_fields(f"{where}: entry {i}", entry, kinds, kinds)
     expected = {name: shape for name, shape, _, _ in param_specs(config)}
     if [e["name"] for e in manifest] != list(expected):
-        raise ValueError("checkpoint manifest does not match config parameter list")
-    params: dict[str, Tensor] = {}
+        raise ValueError(f"{where}: parameter list does not match the config's")
     total = 0
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        if shape != expected[entry["name"]]:
-            raise ad.ShapeError(f"checkpoint: {entry['name']} has shape {shape}, config implies {expected[entry['name']]}")
-        size = int(np.prod(shape))
-        start = entry["offset"]
-        total = max(total, start + 4 * size)
-        values = np.frombuffer(raw, dtype="<f4", count=size, offset=start).reshape(shape).copy()
-        params[entry["name"]] = Tensor(values, requires_grad=trainable)
+    for i, entry in enumerate(manifest):
+        name, shape = entry["name"], tuple(entry["shape"])
+        if shape != expected[name]:
+            raise ad.ShapeError(f"{where}: entry {i} ({name}) has shape {shape}, config implies {expected[name]}")
+        if entry["offset"] != total:
+            # save_checkpoint writes the parameters back to back in manifest order.
+            raise SchemaError(f"{where}: entry {i} ({name}) has offset {entry['offset']}, expected {total}")
+        total += 4 * int(np.prod(shape))
+    raw = (ckpt / "weights.bin").read_bytes()
     if len(raw) != total:
-        raise ValueError(f"weights.bin has {len(raw)} bytes, manifest implies {total}")
+        raise ValueError(f"{ckpt / 'weights.bin'} has {len(raw)} bytes, {where} implies {total}")
+    params = {}
+    for entry in manifest:
+        values = np.frombuffer(raw, dtype="<f4", count=int(np.prod(entry["shape"])), offset=entry["offset"])
+        params[entry["name"]] = Tensor(values.reshape(entry["shape"]).copy(), requires_grad=trainable)
     return EmbeddingModel(config, params)

@@ -488,6 +488,22 @@ def _silu_reference(a):
     return ad._make("silu", av * sig, (a,), vjp)
 
 
+def _bounds(segments, rows):
+    """(start, stop) rows of consecutive segments; no segments is one segment of every row."""
+    if segments is None:
+        return [(0, rows)]
+    ends = np.cumsum(segments).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _sum_in_order(like, parts):
+    """Per-segment parts added from zero in segment order."""
+    acc = np.zeros_like(like)
+    for part in parts:
+        acc += part
+    return acc
+
+
 def _rms_norm_reference(a, gain, eps=1e-6, group_size=None, segments=None):
     av = a.values
     rows, cols = av.shape
@@ -501,7 +517,7 @@ def _rms_norm_reference(a, gain, eps=1e-6, group_size=None, segments=None):
     def vjp(g):
         gg = g.reshape(rows, groups, size)
         g_xhat = gg * x * inv
-        ggain = ad._sum_in_order(gv, (g_xhat[r0:r1].sum(axis=(0, 1)) for r0, r1 in ad._bounds(segments, rows)))
+        ggain = _sum_in_order(gv, (g_xhat[r0:r1].sum(axis=(0, 1)) for r0, r1 in _bounds(segments, rows)))
         gw = gg * gv
         gx = inv * gw - (inv**3 / size) * x * (gw * x).sum(axis=2, keepdims=True)
         return gx.reshape(rows, cols), ggain
@@ -533,11 +549,12 @@ def _assert_bitwise_like_reference(new, reference, inputs, rng, msg):
     """Output and every input gradient equal the reference's bit for bit, and no
     input array is written to."""
     copies = [x.copy() for x in inputs]
-    w = Tensor(rng.standard_normal(inputs[0].shape).astype(inputs[0].dtype))
-    results = []
+    w, results = None, []
     for fn in (new, reference):
         leaves = [Tensor(x, requires_grad=True) for x in inputs]
         out = fn(*leaves)
+        if w is None:
+            w = Tensor(np.asarray(rng.standard_normal(out.shape)).astype(out.dtype))
         ad.backward(ad.sum_all(ad.mul(out, w)))
         results.append([out.values] + [t.grad for t in leaves])
     for got, want in zip(*results):
@@ -586,6 +603,136 @@ def test_rope_bitwise_equals_previous_expression():
                 lambda a: ad.rope(a, hd, positions=positions), lambda a: _rope_reference(a, hd, positions=positions),
                 [x], rng, f"{dtype.__name__} T={len(positions)} heads={heads} hd={hd}",
             )
+
+
+# --- run-batched vjps against the per-segment and per-query loops they replaced
+
+
+def _matmul_reference(a, b, segments=None):
+    av, bv = a.values, b.values
+    bounds = _bounds(segments, av.shape[0])
+    out = av @ bv
+    for r0, r1 in bounds:
+        if segments is not None and len(segments) > 1 and r1 - r0 == 1:
+            out[r0:r1] = av[r0:r1] @ bv
+
+    def vjp(g):
+        ga = np.concatenate([g[r0:r1] @ bv.T for r0, r1 in bounds])
+        return ga, _sum_in_order(bv, (av[r0:r1].T @ g[r0:r1] for r0, r1 in bounds))
+
+    return ad._make("matmul", out, (a, b), vjp)
+
+
+def _gather_rows_reference(a, indices, segments=None):
+    av, idx = a.values, np.asarray(indices, dtype=np.intp)
+
+    def scatter(r0, r1, g):
+        ga = np.zeros_like(av)
+        np.add.at(ga, idx[r0:r1], g[r0:r1])
+        return ga
+
+    def vjp(g):
+        return (_sum_in_order(av, (scatter(r0, r1, g) for r0, r1 in _bounds(segments, idx.size))),)
+
+    return ad._make("gather_rows", av[idx], (a,), vjp)
+
+
+def _info_nce_reference(emb, b, neg_counts, inv_t, in_batch):
+    """One one-row gemv, softmax and loss per query, summed in query order."""
+    ev = emb.values
+    qv, rows = ev[:b], ev[b:]
+    target, queries, total, start = np.zeros(1, dtype=np.intp), [], None, b
+    for i, n in enumerate(neg_counts):
+        others = [j for j in range(b) if j != i] if in_batch else []
+        idx = np.array([i, *range(start, start + n), *others])
+        start += n
+        qi, cand_t = qv[i : i + 1].copy(), rows[idx].T.copy()
+        nll, soft = ad._nll_softmax((qi @ cand_t) * inv_t, target)
+        total = nll[0] if total is None else total + nll[0]
+        queries.append((idx, qi, cand_t, soft))
+
+    def vjp(g):
+        g_loss = g * (1.0 / b)
+        g_emb = np.zeros_like(ev)
+        gq, g_rows = g_emb[:b], g_emb[b:]
+        for i, (idx, qi, cand_t, soft) in enumerate(queries):
+            gs = ad._nll_grad(soft, target, g_loss) * inv_t
+            gq[i] += (gs @ cand_t.T)[0]
+            g_rows[idx] += (qi.T @ gs).T
+        return (g_emb,)
+
+    return ad._make("info_nce", total * (1.0 / b), (emb,), vjp)
+
+
+# Interleaved runs of equal lengths (a long train_distill batch has dozens), one-token
+# segments alone and between others, one segment, and no segments.
+_SEGMENT_CASES = ([32, 78, 32, 32, 78, 1, 1, 5], [1] * 7, [1, 3, 3, 1, 1, 2, 2, 2, 1], [12] * 4 + [16] * 4, [9], None)
+
+
+def test_run_batched_matmul_bitwise_equals_per_segment_reference():
+    rng = np.random.default_rng(31)
+    for dtype in (np.float32, np.float64):
+        for segments in _SEGMENT_CASES:
+            rows = 9 if segments is None else sum(segments)
+            for k, c in ((64, 64), (64, 32), (64, 256), (256, 64), (3, 5), (1, 1)):
+                a, w = (rng.standard_normal(shape).astype(dtype) for shape in ((rows, k), (k, c)))
+                _assert_bitwise_like_reference(
+                    lambda x, y: ad.matmul(x, y, segments=segments),
+                    lambda x, y: _matmul_reference(x, y, segments=segments),
+                    [a, w], rng, f"{dtype.__name__} K={k} C={c} segments={segments}",
+                )
+
+
+def test_run_batched_rms_norm_bitwise_equals_per_segment_reference():
+    rng = np.random.default_rng(32)
+    for dtype in (np.float32, np.float64):
+        for segments in _SEGMENT_CASES:
+            rows = 9 if segments is None else sum(segments)
+            for cols, group in ((64, None), (64, 16), (32, 16), (256, None), (1, None)):
+                x = (rng.standard_normal((rows, cols)) * 3).astype(dtype)
+                gain = rng.standard_normal(cols if group is None else group).astype(dtype)
+                kw = dict(group_size=group, segments=segments)
+                _assert_bitwise_like_reference(
+                    lambda a, g: ad.rms_norm(a, g, **kw), lambda a, g: _rms_norm_reference(a, g, **kw),
+                    [x, gain], rng, f"{dtype.__name__} cols={cols} group={group} segments={segments}",
+                )
+
+
+def test_run_batched_gather_rows_bitwise_equals_per_segment_reference():
+    rng = np.random.default_rng(33)
+    for dtype in (np.float32, np.float64):
+        for segments in _SEGMENT_CASES:
+            rows = 9 if segments is None else sum(segments)
+            for vocab, width in ((5, 64), (258, 64), (1, 1)):
+                table = rng.standard_normal((vocab, width)).astype(dtype)
+                idx = rng.integers(0, vocab, rows).tolist()
+                _assert_bitwise_like_reference(
+                    lambda a: ad.gather_rows(a, idx, segments=segments),
+                    lambda a: _gather_rows_reference(a, idx, segments=segments),
+                    [table], rng, f"{dtype.__name__} vocab={vocab} segments={segments}",
+                )
+
+
+def test_grouped_info_nce_bitwise_equals_per_query_reference():
+    rng = np.random.default_rng(34)
+    for dtype in (np.float32, np.float64):
+        for b, counts in ((1, [0]), (1, [3]), (5, [2, 0, 3, 2, 0]), (16, [0] * 16), (8, [3, 3, 1, 3, 0, 1, 3, 3])):
+            for in_batch in (True, False):
+                for d in (1, 8, 64):
+                    emb = rng.standard_normal((2 * b + sum(counts), d)).astype(dtype)
+                    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+                    _assert_bitwise_like_reference(
+                        lambda e: ad.info_nce(e, b, counts, inv_t=20.0, in_batch=in_batch),
+                        lambda e: _info_nce_reference(e, b, counts, inv_t=20.0, in_batch=in_batch),
+                        [emb], rng, f"{dtype.__name__} b={b} counts={counts} in_batch={in_batch} d={d}",
+                    )
+
+
+def test_backward_rejects_a_gradient_shaped_unlike_its_input():
+    x = leaf(np.ones((4, 3)))
+    y = ad._make("first_row_only", x.values * 2.0, (x,), lambda g: (g[:1],))
+    with pytest.raises(ad.ShapeError, match="first_row_only"):
+        ad.backward(ad.sum_all(y))
 
 
 def test_causal_attention_leaves_the_shared_mask_alone():

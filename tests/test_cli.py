@@ -9,7 +9,7 @@ from tinyembed import evaluation as ev
 from tinyembed import synthetic as syn
 from tinyembed.cli import main
 from tinyembed.data import read_samples
-from tinyembed.model import load_checkpoint
+from tinyembed.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 
 
 def write_raw_inputs(dirpath: Path) -> int:
@@ -251,6 +251,38 @@ def test_malformed_model_config_exit_2(tmp_path, capsys, change, field):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert str(path) in err and field in err, err
+
+
+def _drop_offset(manifest):
+    del manifest[0]["offset"]
+    return manifest
+
+
+def _shape_five(manifest):
+    manifest[0]["shape"] = 5
+    return manifest
+
+
+def _second_offset_zero(manifest):
+    manifest[1]["offset"] = 0
+    return manifest
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_offset, "entry 0: missing fields: offset"),
+    (lambda manifest: {"params": manifest}, "expected a JSON list of parameter entries, got dict"),
+    (_shape_five, "entry 0: field 'shape' must be a list of integers"),
+    (_second_offset_zero, "entry 1 (layers.0.attn_norm) has offset 0, expected"),
+], ids=["no-offset", "object", "shape-int", "overlapping-offset"])
+def test_malformed_checkpoint_manifest_exit_2(tmp_path, capsys, corrupt, message):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_model(ModelConfig.from_json(tiny_model_config(tmp_path)), seed=0), ckpt)
+    path = ckpt / "manifest.json"
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--tasks", str(write_tasks(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err, err
 
 
 @pytest.mark.parametrize("change, message", [
