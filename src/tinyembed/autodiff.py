@@ -462,14 +462,25 @@ def gather_rows(a: Tensor, indices: Sequence[int], segments: Sequence[int] | Non
     _check_segments("gather_rows", segments, idx.size)
 
     def vjp(g):
-        # A part per segment holds only the distinct indices' rows; np.add.at
-        # adds each segment's rows into its part in row order.
+        # A part per segment holds only the distinct indices' rows. Each
+        # (segment, id) slot adds its rows in row order from zero: a row's rank
+        # is its occurrence count within its slot, and the rows of each rank
+        # (at most one per slot) go in with one fancy-index += after the rank
+        # before, as np.add.at would add them, at a fraction of its cost.
         lengths = [idx.size] if segments is None else segments
         ids, slot = np.unique(idx, return_inverse=True)
-        parts = np.zeros((len(lengths), ids.size, av.shape[1]), dtype=av.dtype)
-        np.add.at(parts, (np.repeat(np.arange(len(lengths)), lengths), slot), g)
+        key = np.repeat(np.arange(len(lengths)) * ids.size, lengths) + slot
+        order = np.argsort(key, kind="stable")  # by slot, rows in row order
+        pos = np.arange(idx.size)
+        slot_start = np.maximum.accumulate(np.where(np.diff(key[order], prepend=-1) != 0, pos, 0))
+        rank = np.empty_like(order)
+        rank[order] = pos - slot_start
+        parts = np.zeros((len(lengths) * ids.size, av.shape[1]), dtype=av.dtype)
+        by_rank = np.argsort(rank, kind="stable")
+        for rows in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
+            parts[key[rows]] += g[rows]
         ga = np.zeros_like(av)
-        ga[ids] = _sum_slices(parts)
+        ga[ids] = _sum_slices(parts.reshape(len(lengths), ids.size, av.shape[1]))
         return (ga,)
 
     return _make("gather_rows", av[idx], (a,), vjp)

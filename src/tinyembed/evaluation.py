@@ -53,11 +53,15 @@ class EvalTask:
                 raise ValueError("sts task needs pairs and matching gold scores")
             if not all(math.isfinite(g) for g in self.gold):
                 raise ValueError("sts gold scores must be finite")
+            if len(set(self.gold)) < 2:
+                raise ValueError("sts task needs at least 2 pairs with gold scores that are not all equal")
         elif self.kind == "PairClassification":
             if not self.pairs or self.labels is None or len(self.pairs) != len(self.labels):
                 raise ValueError("pair task needs pairs and matching labels")
             if any(l not in (0, 1) for l in self.labels):
                 raise ValueError("pair labels must be 0 or 1")
+            if len(set(self.labels)) < 2:
+                raise ValueError("pair task needs at least 2 pairs with both labels 0 and 1")
         else:
             raise ValueError(f"unknown task kind {self.kind!r}; options: {KINDS}")
 

@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: schemas, exit codes, pipeline smoke, determinism."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import tinyembed
+from tinyembed import cli
 from tinyembed import evaluation as ev
 from tinyembed import synthetic as syn
 from tinyembed.cli import main
@@ -305,6 +312,24 @@ def test_eval_malformed_task_exit_2(trained_run, capsys, change, message):
     assert f"{tasks}: task 0 ('ret')" in err and message in err, err
 
 
+@pytest.mark.parametrize("task, message", [
+    ({"kind": "STS", "pairs": [["a", "b"]], "gold": [0.5]}, "sts task needs at least 2 pairs"),
+    ({"kind": "STS", "pairs": [["a", "b"], ["a", "c"]], "gold": [0.5, 0.5]}, "gold scores that are not all equal"),
+    ({"kind": "PairClassification", "pairs": [["a", "b"]], "labels": [1]}, "pair task needs at least 2 pairs"),
+    ({"kind": "PairClassification", "pairs": [["a", "b"], ["a", "c"]], "labels": [0, 0]}, "both labels 0 and 1"),
+], ids=["sts-one-pair", "sts-equal-gold", "pair-one-pair", "pair-one-label"])
+def test_eval_degenerate_task_exit_2(tmp_path, capsys, task, message):
+    # Rejected when the file loads, naming file and task, before anything is embedded.
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_model(ModelConfig.from_json(tiny_model_config(tmp_path)), seed=0), ckpt)
+    tasks = tmp_path / "degenerate-tasks.json"
+    tasks.write_text(json.dumps([{"name": "flat", **task}]))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--tasks", str(tasks)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tasks}: task 0 ('flat')" in err and message in err, err
+
+
 def test_train_determinism_byte_identical(tmp_path):
     data = write_toy_canonical(tmp_path)
     plan = write_plan(tmp_path, [data])
@@ -436,6 +461,64 @@ def test_param_count_accepts_bare_name(capsys):
 
 def test_param_count_unknown_config_exit_2(capsys):
     assert main(["param-count", "--config", "no-such-config"]) == 2
+
+
+# --- allocator setting -------------------------------------------------------------
+
+
+def test_main_sets_the_allocator(monkeypatch, tmp_path):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    assert main(["param-count", "--config", str(tiny_model_config(tmp_path))]) == 0
+    assert calls == [(-3, 4 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: SimpleNamespace(), _no_c_library], ids=["no-mallopt", "no-libc"])
+def test_main_runs_without_mallopt(monkeypatch, tmp_path, capsys, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert main(["param-count", "--config", str(tiny_model_config(tmp_path))]) == 0
+    assert "total parameters" in capsys.readouterr().out
+
+
+_STEP_FAULTS_SCRIPT = """
+import resource, sys
+import numpy as np
+from tinyembed.cli import main
+
+main(["param-count", "--config", sys.argv[1]])
+
+def step():
+    live = [np.ones(1 << 18, dtype=np.float32) for _ in range(40)]  # 40 MiB, freed together
+    del live
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's")
+def test_main_keeps_freed_step_memory_in_the_process(tmp_path):
+    # With glibc's defaults each step's 40 MiB goes back to the OS and is faulted
+    # in again: about 10k minor faults a step, 100k over the ten.
+    src = str(Path(tinyembed.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _STEP_FAULTS_SCRIPT, str(tiny_model_config(tmp_path))],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(run.stdout.split()[-1]) < 1000, run.stdout
 
 
 # --- ablate (tiny smoke) -----------------------------------------------------------

@@ -9,7 +9,9 @@ warm-up cycle, then profiles ``--cycles`` whole cycles in-process with one BLAS
 thread. The primitives, ``autodiff._make`` (which wraps each recorded vjp) and
 ``autodiff.backward`` are wrapped from outside by replacing module attributes,
 so nothing under ``src/`` changes. Times are wall-clock milliseconds per cycle;
-a primitive's forward time includes its ``_make`` and finite check.
+a primitive's forward time includes its ``_make`` and finite check. The last
+line gives the process's minor page faults and system CPU milliseconds per
+cycle (``resource.getrusage``), where allocator churn shows.
 """
 
 import os
@@ -18,6 +20,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import resource
 import shutil
 import sys
 import tempfile
@@ -108,11 +111,17 @@ def main(argv=None) -> int:
     workload, runner, profile = WORKLOADS[args.workload], Runner(cli), Profile()
     profile.install()
     workdir = Path(tempfile.mkdtemp(prefix="primitive-profile-"))
+    faults, system_s = 0, 0.0
     try:
         ctx = workload.setup(workdir / "setup", args.seed, runner)
         for cycle in range(args.cycles + 1):
             profile.on = cycle > 0
+            before = resource.getrusage(resource.RUSAGE_SELF)
             ops = workload.cycle(ctx, runner)
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            if profile.on:
+                faults += after.ru_minflt - before.ru_minflt
+                system_s += after.ru_stime - before.ru_stime
             failed = [op.argv[0] for op in ops if op.failed]
             if failed:
                 print(f"error: cycle {cycle} failed in {', '.join(failed)}", file=sys.stderr)
@@ -120,6 +129,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(profile.report(args.cycles))
+    print(f"process: {faults / args.cycles:.0f} minor page faults, {system_s * 1000 / args.cycles:.1f} ms system CPU per cycle")
     return 0
 
 
