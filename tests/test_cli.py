@@ -237,6 +237,9 @@ def test_train_malformed_plan_field_exit_2(tmp_path, capsys, override, field):
     ({"rope_base": "1e4"}, "rope_base"),
     ({"vocab_size": None}, "vocab_size"),
     ({"head_dim": 3}, "head_dim"),
+    ({"rope_base": -1}, "rope_base"),
+    ({"rope_base": 0}, "rope_base"),
+    ({"rope_base": float("inf")}, "rope_base"),
 ])
 def test_malformed_model_config_exit_2(tmp_path, capsys, change, field):
     # The same check on the three ways in: param-count, a plan's model_config, a checkpoint.
@@ -339,6 +342,32 @@ def test_train_determinism_byte_identical(tmp_path):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("templates", [["x"], 5, "x", {"qa": 5}, {"qa": None}],
+                         ids=["list", "number", "string", "number-value", "null-value"])
+def test_train_instructions_not_an_object_of_strings_exit_2(tmp_path, capsys, templates):
+    instructions = tmp_path / "instructions.json"
+    instructions.write_text(json.dumps(templates))
+    plan = write_plan(tmp_path, [write_toy_canonical(tmp_path)], stage=2, instructions=str(instructions))
+    assert main(["train", "--plan", str(plan), "--out", str(tmp_path / "run")]) == 2
+    assert str(instructions) in capsys.readouterr().err
+
+
+def test_train_teacher_non_finite_exit_3(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    monkeypatch.setattr(tinyembed.model, "_cpu_count", lambda: 2)
+    data = write_toy_canonical(tmp_path)
+    assert main(["train", "--plan", str(write_plan(tmp_path, [data])), "--out", str(tmp_path / "teacher")]) == 0
+    ckpt = tmp_path / "teacher" / "checkpoint"
+    n_floats = len((ckpt / "weights.bin").read_bytes()) // 4
+    (ckpt / "weights.bin").write_bytes(np.full(n_floats, np.nan, dtype="<f4").tobytes())
+    plan = write_plan(tmp_path, [data], teacher=str(ckpt))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["train", "--plan", str(plan), "--out", str(tmp_path / "run")]) == 3
+    assert "numeric failure: non-finite loss at step 1" in capsys.readouterr().err
+
+
 # --- prune / eval / sweep --------------------------------------------------------
 
 
@@ -413,6 +442,20 @@ def test_eval_prints_cache_counts(trained_run, capsys):
     assert sum(line.startswith("mean:") for line in lines) == 1
 
 
+def test_eval_non_finite_in_a_chunk_thread_exit_3(trained_run, capsys, monkeypatch):
+    import numpy as np
+
+    monkeypatch.setattr(tinyembed.model, "_cpu_count", lambda: 2)
+    tmp_path, _ = trained_run
+    ckpt = tmp_path / "run" / "checkpoint"
+    n_floats = len((ckpt / "weights.bin").read_bytes()) // 4
+    (ckpt / "weights.bin").write_bytes(np.full(n_floats, np.nan, dtype="<f4").tobytes())
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["eval", "--checkpoint", str(ckpt), "--tasks", str(write_tasks(tmp_path))]) == 3
+    assert "numeric failure: primitive" in capsys.readouterr().err
+
+
 # --- mine -----------------------------------------------------------------------
 
 
@@ -475,7 +518,7 @@ def test_main_sets_the_allocator(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
     assert main(["param-count", "--config", str(tiny_model_config(tmp_path))]) == 0
-    assert calls == [(-3, 4 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert calls == [(-3, 4 << 20), (-1, 64 << 20), (-8, 1)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX
 
 
 def _no_c_library(name):

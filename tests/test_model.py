@@ -1,5 +1,8 @@
 """Architecture tests: init determinism, causality, EOS pooling, parameter accounting, checkpoints."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -225,6 +228,7 @@ def test_raw_embeddings_run_the_last_layer_on_eos_rows_only(monkeypatch):
         return matmul(a, b, segments)
 
     monkeypatch.setattr(ad, "matmul", spy)
+    monkeypatch.setattr(tm, "_cpu_count", lambda: 1)  # concurrent chunks would interleave the calls
     for cfg in (WIDE, replace(WIDE, num_heads=WIDE.num_kv_heads, num_layers=3)):
         m = tm.init_model(cfg, seed=4)
         rows.clear()
@@ -232,6 +236,44 @@ def test_raw_embeddings_run_the_last_layer_on_eos_rows_only(monkeypatch):
         assert rows[id(m.params["layers.0.gate_proj"])] == [1, 8, 10]
         assert rows[id(m.params[f"layers.{cfg.num_layers - 1}.gate_proj"])] == [1, 2, 2]
         assert rows[id(m.params[f"layers.{cfg.num_layers - 1}.k_proj"])] == [1, 8, 10]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunk_threads_bitwise_equal_one_thread(monkeypatch, dtype):
+    # Mixed lengths with one-token texts: each chunk is the same computation on
+    # either thread, written back by index. A short switch interval interleaves
+    # the chunks as much as it can.
+    m = tm.init_model(WIDE, seed=6).astype(dtype)
+    seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=3)]
+    assert sum(len(s) == 1 for s in seqs) >= 2 and len(tm.length_chunks(seqs)) > 8
+    monkeypatch.setattr(tm, "_cpu_count", lambda: 1)
+    want = tm.raw_embeddings(m, seqs)
+    pools = []
+    monkeypatch.setattr(tm, "ThreadPoolExecutor", lambda n, **kw: pools.append(n) or ThreadPoolExecutor(n, **kw))
+    monkeypatch.setattr(tm, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = tm.raw_embeddings(m, seqs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [tm.MAX_CHUNK_THREADS] == [2]
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_chunk_threads_raise_in_the_caller_and_leave_no_thread(monkeypatch):
+    monkeypatch.setattr(tm, "_cpu_count", lambda: 2)
+    m = tm.init_model(WIDE, seed=6)
+    seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=3)]
+    start = threading.active_count()
+    tm.raw_embeddings(m, seqs)
+    assert threading.active_count() == start
+    # Only sequences holding "~" reach the NaN row: one chunk fails.
+    m.params["token_embedding"].values[tokenize("~")[0]] = np.nan
+    with pytest.raises(ad.NonFiniteError, match="gather_rows"):
+        tm.raw_embeddings(m, seqs + [tokenize("ab~", WIDE.max_seq_len)])
+    assert threading.active_count() == start
 
 
 def test_embed_texts_bitwise_equal_embed_text():

@@ -2,11 +2,13 @@
 
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
 
 from tinyembed import autodiff as ad
+from tinyembed import model as tm
 from tinyembed import training as tt
 from tinyembed.autodiff import Tensor
 from tinyembed.data import CLUSTERING, RETRIEVAL, Batch, CanonicalSample
@@ -463,6 +465,18 @@ def test_non_finite_loss_aborts_with_step_index():
     batch = Batch([rsample(query=f"q{i}") for i in range(2)])
     with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError, match="step 1"):
         tt.train_stage(model, [batch], make_plan())
+
+
+def test_teacher_non_finite_names_the_step_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(tm, "_cpu_count", lambda: 2)
+    teacher = init_model(STUDENT_CFG, seed=9)
+    # Only the second batch brings a text holding "~".
+    teacher.params["token_embedding"].values[tokenize("~")[0]] = np.nan
+    data = [Batch([rsample(query=f"q{i}") for i in range(2)]), Batch([rsample(query="q~"), rsample(query="q0")])]
+    start = threading.active_count()
+    with pytest.raises(ad.NonFiniteError, match="step 2"):
+        tt.train_stage(init_model(STUDENT_CFG, seed=3), data, make_plan(teacher="ckpt"), teacher=teacher)
+    assert threading.active_count() == start
 
 
 def test_metrics_csv_format(tmp_path):

@@ -9,9 +9,12 @@ warm-up cycle, then profiles ``--cycles`` whole cycles in-process with one BLAS
 thread. The primitives, ``autodiff._make`` (which wraps each recorded vjp) and
 ``autodiff.backward`` are wrapped from outside by replacing module attributes,
 so nothing under ``src/`` changes. Times are wall-clock milliseconds per cycle;
-a primitive's forward time includes its ``_make`` and finite check. The last
-line gives the process's minor page faults and system CPU milliseconds per
-cycle (``resource.getrusage``), where allocator churn shows.
+a primitive's forward time includes its ``_make`` and finite check.
+``raw_embeddings`` runs its chunks on two threads, so the primitives' summed time
+can exceed the cycle's wall time; the last lines give each cycle's wall and
+process CPU milliseconds (user plus system), and the process's minor page
+faults and system CPU milliseconds per cycle (``resource.getrusage``), where
+allocator churn shows.
 """
 
 import os
@@ -24,6 +27,7 @@ import resource
 import shutil
 import sys
 import tempfile
+import threading
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -38,9 +42,11 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 class Profile:
-    """Installs the wrappers; `on` gates recording so set-up and warm-up are not counted."""
+    """Installs the wrappers; `on` gates recording so set-up and warm-up are not
+    counted. Updates hold a lock: primitives run on several threads at once."""
 
     def __init__(self):
+        self.lock = threading.Lock()
         self.calls = defaultdict(int)
         self.forward_s = defaultdict(float)
         self.vjp_s = defaultdict(float)
@@ -60,7 +66,9 @@ class Profile:
                     return vjp(g)
                 finally:
                     if self.on:
-                        self.vjp_s[op] += time.perf_counter() - start
+                        elapsed = time.perf_counter() - start
+                        with self.lock:
+                            self.vjp_s[op] += elapsed
 
             return make(op, values, parents, timed_vjp)
 
@@ -82,8 +90,10 @@ class Profile:
                 return fn(*args, **kwargs)
             finally:
                 if self.on:
-                    self.calls[name] += 1
-                    self.forward_s[name] += time.perf_counter() - start
+                    elapsed = time.perf_counter() - start
+                    with self.lock:
+                        self.calls[name] += 1
+                        self.forward_s[name] += elapsed
 
         return wrapper
 
@@ -111,17 +121,19 @@ def main(argv=None) -> int:
     workload, runner, profile = WORKLOADS[args.workload], Runner(cli), Profile()
     profile.install()
     workdir = Path(tempfile.mkdtemp(prefix="primitive-profile-"))
-    faults, system_s = 0, 0.0
+    faults, system_s, cycle_ms = 0, 0.0, []
     try:
         ctx = workload.setup(workdir / "setup", args.seed, runner)
         for cycle in range(args.cycles + 1):
             profile.on = cycle > 0
-            before = resource.getrusage(resource.RUSAGE_SELF)
+            before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
             ops = workload.cycle(ctx, runner)
-            after = resource.getrusage(resource.RUSAGE_SELF)
+            wall_s, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
             if profile.on:
                 faults += after.ru_minflt - before.ru_minflt
                 system_s += after.ru_stime - before.ru_stime
+                cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+                cycle_ms.append(f"{wall_s * 1000:.1f} wall / {cpu_s * 1000:.1f} CPU")
             failed = [op.argv[0] for op in ops if op.failed]
             if failed:
                 print(f"error: cycle {cycle} failed in {', '.join(failed)}", file=sys.stderr)
@@ -129,6 +141,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(profile.report(args.cycles))
+    print("cycles (ms): " + ", ".join(cycle_ms))
     print(f"process: {faults / args.cycles:.0f} minor page faults, {system_s * 1000 / args.cycles:.1f} ms system CPU per cycle")
     return 0
 
