@@ -8,6 +8,11 @@ topological order exactly once, accumulating gradients into the leaves.
 Forward kernels work in place on arrays the primitive allocated itself, never
 on an input, with the ops of the plain expression in the same order, so they
 round exactly as that expression would.
+
+A training step holds only what backward will still read. `backward` frees
+each non-leaf gradient once its vjp has consumed it, and a vjp keeps only what
+it cannot cheaply rebuild: attention's head-layout operands, rope's table rows
+and silu's sigmoid are made again when it runs, with the forward's ops.
 """
 
 from __future__ import annotations
@@ -275,7 +280,9 @@ def _length_groups(lengths: Sequence[int] | None) -> list[tuple[int, slice | np.
 
 def _attend(qa: np.ndarray, ka: np.ndarray, va: np.ndarray, n: int, hd: int, n_kv: int, group: int):
     """Attention over n equal-length sequences stacked as rows: output rows and vjp.
-    qa holds every query row, or only each sequence's last (one row per sequence)."""
+    qa holds every query row, or only each sequence's last (one row per sequence).
+    The vjp keeps the softmax but takes qa, ka and va again with the gradient and
+    rebuilds the head-layout operands from them, exact copies not worth holding."""
     t, heads = ka.shape[0] // n, n_kv * group
     every_query = qa.shape[0] == n * t
     if every_query:
@@ -301,9 +308,12 @@ def _attend(qa: np.ndarray, ka: np.ndarray, va: np.ndarray, n: int, hd: int, n_k
         def rows(x):
             return x.reshape(n, n_kv, 2 * pairs, hd)[:, :, :group].reshape(n, heads * hd)
 
-    q5 = to5(qa)
-    kt5 = np.ascontiguousarray(ka.reshape(n, t, n_kv, hd).transpose(0, 2, 3, 1))[:, :, None]
-    v5 = _heads(va, n, n_kv, hd)[:, :, None]
+    def operands(qa, ka, va):
+        q5 = to5(qa)
+        kt5 = np.ascontiguousarray(ka.reshape(n, t, n_kv, hd).transpose(0, 2, 3, 1))[:, :, None]
+        return q5, kt5, _heads(va, n, n_kv, hd)[:, :, None]
+
+    q5, kt5, v5 = operands(qa, ka, va)
     # Masked softmax in place on the scores: hidden positions are -inf before the
     # max, so exp gives them exactly the 0 a masked select would, and every other
     # entry goes through the same ops in the same order. A last query hides nothing.
@@ -322,7 +332,8 @@ def _attend(qa: np.ndarray, ka: np.ndarray, va: np.ndarray, n: int, hd: int, n_k
             acc += x[:, :, j]
         return acc
 
-    def vjp(gout):
+    def vjp(gout, qa, ka, va):
+        q5, kt5, v5 = operands(qa, ka, va)
         g5 = to5(gout)
         gv = group_sum(p.swapaxes(-1, -2) @ g5)
         # The softmax's vjp p * (gp - (gp * p).sum(-1)), in place on gp = g5 @ v5^T.
@@ -377,7 +388,7 @@ def causal_attention(
     def vjp(gout):
         gq, gk, gv = np.empty_like(qa), np.empty_like(ka), np.empty_like(va)
         for q_sel, kv_sel, part_vjp in parts:
-            gq[q_sel], gk[kv_sel], gv[kv_sel] = part_vjp(gout[q_sel])
+            gq[q_sel], gk[kv_sel], gv[kv_sel] = part_vjp(gout[q_sel], qa[q_sel], ka[kv_sel], va[kv_sel])
         return gq, gk, gv
 
     return _make("causal_attention", out, (q, k, v), vjp)
@@ -431,15 +442,22 @@ def rms_norm(
     return _make("rms_norm", out, (a, gain), vjp)
 
 
-@_primitive("silu", "x * sigmoid(x)")
-def silu(a: Tensor) -> Tensor:
-    av = a.values
-    sig = np.negative(av)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), in place on one new array."""
+    sig = np.negative(x)
     np.exp(sig, out=sig)
     sig += 1.0
-    np.divide(1.0, sig, out=sig)
+    return np.divide(1.0, sig, out=sig)
+
+
+@_primitive("silu", "x * sigmoid(x)")
+def silu(a: Tensor) -> Tensor:
+    """The vjp recomputes the sigmoid rather than keep it (its own `sig`)."""
+    av = a.values
+    sig = _sigmoid(av)
 
     def vjp(g):
+        sig = _sigmoid(av)
         gx = np.subtract(1.0, sig)  # g * sig * (1.0 + av * (1.0 - sig)), in place
         gx *= av
         gx += 1.0
@@ -698,7 +716,8 @@ def rope(a: Tensor, head_dim: int, base: float = 10000.0, positions: Sequence[in
     """Each head's halves (x1, x2) become (x1*cos - x2*sin, x2*cos + x1*sin),
     computed over whole rows as x*C + swap(x)*S with the _rope_tables rows of
     the positions. Negating a product and swapping two addends are exact, so
-    this rounds like the rotate-half expression."""
+    this rounds like the rotate-half expression. The vjp gathers the table rows
+    again rather than keep them."""
     av = a.values
     _shape_check("rope", av.ndim == 2 and av.shape[1] % head_dim == 0 and head_dim % 2 == 0, av.shape)
     T, cols = av.shape
@@ -716,6 +735,7 @@ def rope(a: Tensor, head_dim: int, base: float = 10000.0, positions: Sequence[in
 
     def vjp(g):
         # The inverse rotation: (g1*cos + g2*sin, g2*cos - g1*sin).
+        c, s = cos[pos], sin[pos]
         gx = g * c
         rot = _swap_halves(g, head_dim)
         rot *= s
@@ -761,11 +781,12 @@ def trace(output: Tensor) -> ComputeGraph:
 
 
 def backward(loss: Tensor) -> ComputeGraph:
-    """Populate `.grad` on every tensor reachable from a scalar loss.
+    """Populate `.grad` on every leaf reachable from a scalar loss.
 
     Gradients are freshly computed per call (not accumulated across calls);
     within one call, tensors used in several places accumulate the sum of
-    their downstream contributions. Returns the traversed graph.
+    their downstream contributions. Only leaves keep `.grad`: a non-leaf's is
+    freed once its vjp has consumed it. Returns the traversed graph.
     """
     if loss.values.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.values.shape}")
@@ -775,18 +796,25 @@ def backward(loss: Tensor) -> ComputeGraph:
             node.grad = None
     loss.grad = np.ones((), dtype=loss.values.dtype)
     for node in reversed(graph.nodes):
-        if node._vjp is None or node.grad is None:
-            continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
-            if not parent.requires_grad or g is None:
-                continue
-            if np.shape(g) != parent.values.shape:
-                raise ShapeError(f"backward: {node.op} gave a {np.shape(g)} gradient for a {parent.values.shape} input")
-            if parent.grad is None:
-                parent.grad = np.array(g, dtype=parent.values.dtype)
-            else:
-                parent.grad += g
+        if node._vjp is not None and node.grad is not None:
+            _propagate(node)
     return graph
+
+
+def _propagate(node: Tensor) -> None:
+    """Add a non-leaf's vjp of its gradient into its parents' gradients, and free
+    its own. Every array the call made is released on return, before the next
+    vjp runs."""
+    g_out, node.grad = node.grad, None
+    for parent, g in zip(node._parents, node._vjp(g_out)):
+        if not parent.requires_grad or g is None:
+            continue
+        if np.shape(g) != parent.values.shape:
+            raise ShapeError(f"backward: {node.op} gave a {np.shape(g)} gradient for a {parent.values.shape} input")
+        if parent.grad is None:
+            parent.grad = np.array(g, dtype=parent.values.dtype)
+        else:
+            parent.grad += g
 
 
 def grad_check(

@@ -115,7 +115,10 @@ def cmd_mine(args) -> int:
         merged = negs if args.mode == "replace" else s.negatives + [n for n in negs if n not in s.negatives]
         out.append(replace(s, negatives=merged))
     td.write_samples(args.out, out)
-    print(f"mined {args.k} negatives for {len(out)} samples -> {args.out}")
+    # What the samples got: fewer than --k where the corpus holds fewer candidates.
+    fewest, most = min(map(len, mined), default=args.k), max(map(len, mined), default=args.k)
+    got = str(most) if fewest == most else f"{fewest}-{most}"
+    print(f"mined {got} negatives for {len(out)} samples -> {args.out}")
     return 0
 
 
@@ -313,6 +316,19 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _count(minimum: int):
+    """argparse type for a count flag: an integer >= minimum, so a bad value exits
+    2 naming its flag before any work starts."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tinyembed", description="Desk-scale embedding-model training pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -347,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="structured pruning of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--calibration", required=True, help="canonical JSONL to draw calibration texts from")
-    p.add_argument("--calib-size", type=int, default=64)
+    p.add_argument("--calib-size", type=_count(1), default=64)
     p.add_argument("--target-hidden", type=int, required=True)
     p.add_argument("--target-mlp", type=int, required=True)
     p.add_argument("--target-layers", type=int, required=True)
@@ -381,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-hidden", type=int, required=True)
     p.add_argument("--target-mlp", type=int, required=True)
     p.add_argument("--target-layers", type=int, required=True)
-    p.add_argument("--calib-size", type=int, default=64)
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--calib-size", type=_count(1), default=64)
+    p.add_argument("--replicates", type=_count(1), default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_ablate)
 

@@ -161,6 +161,79 @@ def test_graph_node_visited_once():
     assert len({id(n) for n in graph.nodes}) == len(graph.nodes)
 
 
+# --- backward keeps only the leaves' gradients --------------------------------
+
+
+def reference_backward(loss):
+    """backward as it was before it freed gradients: every gradient is copied
+    and kept, on leaves and non-leaves alike."""
+    graph = ad.trace(loss)
+    for node in graph.nodes:
+        if node.requires_grad:
+            node.grad = None
+    loss.grad = np.ones((), dtype=loss.values.dtype)
+    for node in reversed(graph.nodes):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if parent.requires_grad and g is not None:
+                if parent.grad is None:
+                    parent.grad = np.array(g, dtype=parent.values.dtype)
+                else:
+                    parent.grad += g
+    return graph
+
+
+def assert_backward_equals_reference(build):
+    """build() makes a fresh (loss, leaves). ad.backward gives every leaf the
+    reference's gradient bit for bit and leaves no non-leaf with a gradient."""
+    loss, leaves = build()
+    graph = ad.backward(loss)
+    assert [n.op for n in graph.nodes if n._vjp is not None and n.grad is not None] == []
+    ref_loss, ref_leaves = build()
+    reference_backward(ref_loss)
+    for got, want in zip(leaves, ref_leaves):
+        assert got.grad.dtype == want.grad.dtype == got.dtype
+        np.testing.assert_array_equal(got.grad, want.grad)
+
+
+def _shared_graph(v):
+    x = Tensor(v.copy(), requires_grad=True)
+    y = ad.silu(x)
+    return ad.sum_all(ad.add(y, y)), [x]
+
+
+def _reshape_slice_graph(v):
+    # Overlapping column slices of one flat row, as model_from_flat makes them.
+    x = Tensor(v.copy(), requires_grad=True)
+    row = ad.reshape(x, (1, v.size))
+    a = ad.reshape(ad.slice_cols(row, 0, 8), (2, 4))
+    b = ad.reshape(ad.slice_cols(row, 4, 12), (4, 2))
+    return ad.add(ad.sum_all(ad.silu(a)), ad.sum_all(ad.mul(b, b))), [x]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("graph", [_shared_graph, _reshape_slice_graph])
+def test_backward_keeps_leaf_gradients_only_and_bitwise_as_before(graph, dtype):
+    v = np.random.default_rng(11).standard_normal((3, 4)).astype(dtype)
+    assert_backward_equals_reference(lambda: graph(v))
+
+
+def assert_vjps_repeat(nodes, seed):
+    """Each node's vjp gives the same arrays bit for bit when called again, the
+    second pass in the opposite order: what a vjp rebuilds does not depend on
+    which vjps ran before it."""
+    rng = np.random.default_rng(seed)
+    nodes = [n for n in nodes if n._vjp is not None]
+    grads = [np.asarray(rng.standard_normal(n.shape), dtype=n.dtype) for n in nodes]
+    first = [n._vjp(g) for n, g in zip(reversed(nodes), reversed(grads))][::-1]
+    for node, g, want in zip(nodes, grads, first):
+        for got, w in zip(node._vjp(g), want):
+            assert (got is None) == (w is None), node.op
+            if w is not None:
+                np.testing.assert_array_equal(got, w, err_msg=node.op)
+
+
 # --- finite-difference checks for every primitive --------------------------
 
 RNG = np.random.default_rng(7)
@@ -298,6 +371,13 @@ def test_primitive_gradient(name):
     point = Tensor(np.random.default_rng(zlib.crc32(name.encode())).standard_normal(shape))
     err = ad.grad_check(fn, point, tolerance=tol)
     assert err < tol
+
+
+@pytest.mark.parametrize("name", sorted(GRAD_CASES))
+def test_vjp_called_twice_in_either_order_gives_the_same_arrays(name):
+    fn, shape, _ = GRAD_CASES[name]
+    x = Tensor(np.random.default_rng(zlib.crc32(name.encode())).standard_normal(shape), requires_grad=True)
+    assert_vjps_repeat(ad.trace(fn(x)).nodes, seed=len(name))
 
 
 # --- causal_attention against the per-head loop it replaced ------------------

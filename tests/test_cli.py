@@ -471,6 +471,18 @@ def test_mine_command(trained_run):
         assert s.positive not in s.negatives
 
 
+def test_mine_prints_the_negatives_each_sample_got(trained_run, capsys):
+    # The 12-text corpus holds 10 or 11 candidates per query (its own positive and
+    # the top rank are skipped), so --k 100 cannot be met; --k 2 can.
+    tmp_path, data = trained_run
+    ckpt, out = str(tmp_path / "run" / "checkpoint"), tmp_path / "mined.jsonl"
+    for k, counts, got in (("2", [2], "2"), ("100", [10, 11], "10-11")):
+        capsys.readouterr()
+        assert main(["mine", "--input", str(data), "--checkpoint", ckpt, "--k", k, "--out", str(out)]) == 0
+        assert sorted({len(s.negatives) for s in read_samples(out)}) == counts
+        assert capsys.readouterr().out == f"mined {got} negatives for 12 samples -> {out}\n"
+
+
 def test_train_non_finite_exit_3(tmp_path, capsys):
     import numpy as np
 
@@ -565,6 +577,30 @@ def test_main_keeps_freed_step_memory_in_the_process(tmp_path):
 
 
 # --- ablate (tiny smoke) -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("prune", "--calib-size", "-1"),
+    ("prune", "--calib-size", "0"),
+    ("ablate", "--calib-size", "-1"),
+    ("ablate", "--replicates", "0"),
+])
+def test_count_flag_below_one_exit_2_naming_the_flag(trained_run, capsys, command, flag, value):
+    # Before any work: a negative --calib-size reached rng.sample's message, which
+    # names no flag, and --replicates 0 pruned, trained nothing and exited 0.
+    tmp_path, data = trained_run
+    ckpt, out = str(tmp_path / "run" / "checkpoint"), tmp_path / "out"
+    sizes = ["--target-hidden", "8", "--target-mlp", "12", "--target-layers", "1", "--out", str(out)]
+    argv = {
+        "prune": ["prune", "--checkpoint", ckpt, "--calibration", str(data)],
+        "ablate": ["ablate", "--teacher", ckpt, "--plan", str(tmp_path / "plan.json"), "--tasks", str(write_tasks(tmp_path))],
+    }[command] + sizes + [flag, value]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_smoke(tmp_path):

@@ -3,6 +3,7 @@
 import math
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from tinyembed.data import CLUSTERING, RETRIEVAL, Batch, CanonicalSample
 from tinyembed.model import ModelConfig, init_model, raw_embeddings, raw_sequence_embedding
 from tinyembed.tokenizer import tokenize
 from tinyembed.training import LossConfig, OptimizerState, StagePlan
+
+from test_autodiff import assert_backward_equals_reference, assert_vjps_repeat
 
 
 def unit_rows(rng, n, d):
@@ -587,3 +590,54 @@ def test_packed_step_matches_per_text_step_with_explicit_negatives_and_no_teache
             scale = np.abs(want.grad).max()
             np.testing.assert_allclose(p.grad, want.grad, rtol=0, atol=1e-12 * scale, err_msg=f"step {step} {name}")
             np.testing.assert_allclose(p.values, want.values, rtol=0, atol=1e-12, err_msg=f"step {step} {name}")
+
+
+# --- what a training step's backward keeps ------------------------------------
+
+
+def _step_graph(dtype, with_teacher):
+    """The loss of one packed _train_step, before backward, and the student's
+    parameters (no AdamW update, so the graph's weights stay as recorded)."""
+    plan = make_plan(stage=2, teacher="ckpt" if with_teacher else None, loss=LossConfig(mrl_dims=(8, 16, 32)))
+    teacher = init_model(PACKED_TEACHER_CFG, seed=4).astype(dtype) if with_teacher else None
+    model = init_model(PACKED_CFG, seed=2).astype(dtype)
+    losses = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "backward", losses.append)
+        mp.setattr(tt, "adamw_step", lambda *args: None)
+        tt._train_step(model, _mixed_batch(CLUSTERING, seed=3), plan, None, 1, teacher, {}, {})
+    return losses[0], list(model.parameters().values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_teacher", [True, False], ids=["teacher", "no-teacher"])
+def test_packed_step_backward_keeps_leaf_gradients_only_and_bitwise_as_before(with_teacher, dtype):
+    assert_backward_equals_reference(lambda: _step_graph(dtype, with_teacher))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_step_vjps_called_twice_in_either_order_give_the_same_arrays(dtype):
+    loss, _ = _step_graph(dtype, with_teacher=True)
+    assert_vjps_repeat(ad.trace(loss).nodes, seed=5)
+
+
+def test_packed_step_memory_stays_near_its_node_values():
+    # Traced bytes over the bytes of the graph's node values. Backward frees each
+    # non-leaf gradient once consumed: it peaks 0.28 above what was live when it
+    # started, against 1.13 when every gradient was kept. The vjps keep no copy
+    # they can rebuild: the step peaks at 1.59, against 1.68-1.73 with any one of
+    # attention's operands, rope's table rows or silu's sigmoid kept, 1.88 with
+    # all three and 2.77 with every gradient kept too.
+    ad.backward(_step_graph(np.float32, with_teacher=False)[0])  # fill first-call caches untraced
+    tracemalloc.start()
+    try:
+        loss, _ = _step_graph(np.float32, with_teacher=False)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = sum(n.values.nbytes for n in ad.trace(loss).nodes if n._vjp is not None)
+    assert (peak - live) / values < 0.5
+    assert peak / values < 1.65
