@@ -1,24 +1,28 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap row-major numpy arrays (float32 for training, float64 for
-gradient checking). Every primitive records its inputs and a backward rule
-on the output tensor; `backward` walks the resulting graph in reverse
-topological order exactly once, accumulating gradients into the leaves.
+gradient checking). With gradients on, every primitive records a graph `Node`
+for its output, apart from the output tensor: the op, its inputs' nodes and a
+backward rule (the vjp). `backward` walks the graph in reverse topological
+order exactly once, accumulating gradients into the leaves.
 
 Forward kernels work in place on arrays the primitive allocated itself, never
 on an input, with the ops of the plain expression in the same order, so they
 round exactly as that expression would.
 
-A training step holds only what backward will still read. `backward` frees
-each non-leaf gradient once its vjp has consumed it, and a vjp keeps only what
-it cannot cheaply rebuild: attention's head-layout operands, rope's table rows
-and silu's sigmoid are made again when it runs, with the forward's ops.
+A training step holds only what backward will still read. The graph links
+nodes, not tensors, so a value that no vjp captured dies with its tensor during
+the forward. `backward` consumes the graph: it frees each non-leaf gradient,
+and each vjp with the arrays it captured, once the vjp has run. A vjp keeps only
+what it cannot cheaply rebuild: attention's head-layout operands, rope's table
+rows and silu's sigmoid are made again when it runs, with the forward's ops.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -65,12 +69,12 @@ def grad_enabled() -> bool:
 class Tensor:
     """A dense array plus optional gradient and a link into the compute graph.
 
-    Non-leaf tensors hold their parent tensors and a vector-Jacobian product
-    closure; leaves have neither. `requires_grad` marks trainable leaves and
-    propagates through primitives.
+    A tensor a primitive recorded with gradients holds its graph node (`_node`);
+    other tensors hold None until a recorded primitive takes them as an input.
+    `requires_grad` marks trainable leaves and propagates through primitives.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "op", "_parents", "_vjp")
+    __slots__ = ("values", "grad", "requires_grad", "op", "_node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values)
@@ -80,8 +84,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.op = "leaf"
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
+        self._node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,6 +99,32 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+class Node:
+    """One output in the graph: its op, its inputs' nodes (`parents`), the vjp,
+    a gradient slot that backward fills and empties, and the output's shape and
+    dtype. A node with no parents is a leaf: it reaches its tensor through a weak
+    reference (`tensor`) to publish `.grad`, as a strong one would make a
+    tensor-node cycle that only a full garbage collection frees."""
+
+    __slots__ = ("op", "parents", "vjp", "grad", "shape", "dtype", "tensor")
+
+    def __init__(self, op: str, parents: tuple[Node, ...], vjp, shape: tuple[int, ...], dtype, tensor=None):
+        self.op, self.parents, self.vjp, self.grad = op, parents, vjp, None
+        self.shape, self.dtype, self.tensor = shape, dtype, tensor
+
+    def wants_grad(self) -> bool:
+        """Recorded outputs do; a leaf does while its tensor lives and requires grad."""
+        t = self.tensor() if self.tensor is not None else None
+        return bool(self.parents) or (t is not None and t.requires_grad)
+
+
+def _node_of(t: Tensor) -> Node:
+    """t's node; a tensor no primitive recorded gets a leaf node on first use."""
+    if t._node is None:
+        t._node = Node(t.op, (), None, t.values.shape, t.values.dtype, weakref.ref(t))
+    return t._node
 
 
 _PRIMITIVES: dict[str, str] = {}
@@ -121,14 +150,8 @@ def _make(op: str, values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tens
     out.values = values
     out.grad = None
     out.op = op
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    out.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
+    out._node = Node(op, tuple(map(_node_of, parents)), vjp, values.shape, values.dtype) if out.requires_grad else None
     return out
 
 
@@ -536,10 +559,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [v.shape[axis] for v in vals]
     offsets = np.cumsum([0] + sizes)
 
-    def vjp(g):
+    def vjp(g):  # reads no input tensor, so it pins none of their values
         if axis == 0:
-            return tuple(g[offsets[i] : offsets[i + 1]].copy() for i in range(len(parts)))
-        return tuple(g[:, offsets[i] : offsets[i + 1]].copy() for i in range(len(parts)))
+            return tuple(g[offsets[i] : offsets[i + 1]].copy() for i in range(len(sizes)))
+        return tuple(g[:, offsets[i] : offsets[i + 1]].copy() for i in range(len(sizes)))
 
     return _make("concat", out, tuple(parts), vjp)
 
@@ -751,9 +774,9 @@ def rope(a: Tensor, head_dim: int, base: float = 10000.0, positions: Sequence[in
 
 
 class ComputeGraph:
-    """Topologically ordered view of the primitives that produced a tensor."""
+    """Topologically ordered view of the nodes that produced a tensor."""
 
-    def __init__(self, nodes: list[Tensor]):
+    def __init__(self, nodes: list[Node]):
         self.nodes = nodes  # parents always precede children
 
     def __len__(self) -> int:
@@ -761,10 +784,10 @@ class ComputeGraph:
 
 
 def trace(output: Tensor) -> ComputeGraph:
-    """Collect the subgraph below `output` in topological order (iterative DFS)."""
-    nodes: list[Tensor] = []
+    """Collect the graph below `output` in topological order (iterative DFS)."""
+    nodes: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(output, False)]
+    stack: list[tuple[Node, bool]] = [(_node_of(output), False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -774,7 +797,7 @@ def trace(output: Tensor) -> ComputeGraph:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
     return ComputeGraph(nodes)
@@ -785,34 +808,48 @@ def backward(loss: Tensor) -> ComputeGraph:
 
     Gradients are freshly computed per call (not accumulated across calls);
     within one call, tensors used in several places accumulate the sum of
-    their downstream contributions. Only leaves keep `.grad`: a non-leaf's is
-    freed once its vjp has consumed it. Returns the traversed graph.
+    their downstream contributions. Only leaves keep `.grad`. The call consumes
+    the graph: each node releases its vjp, with the arrays the vjp captured, and
+    its gradient once the vjp has run, so a second backward over the same graph
+    raises ShapeError; record the forward again instead. Returns the traversed
+    graph.
     """
     if loss.values.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.values.shape}")
     graph = trace(loss)
     for node in graph.nodes:
-        if node.requires_grad:
-            node.grad = None
-    loss.grad = np.ones((), dtype=loss.values.dtype)
+        node.grad = None
+        if not node.parents and node.wants_grad():
+            node.tensor().grad = None
+    graph.nodes[-1].grad = np.ones((), dtype=loss.values.dtype)
     for node in reversed(graph.nodes):
-        if node._vjp is not None and node.grad is not None:
+        if node.grad is None:
+            continue
+        if node.parents:
             _propagate(node)
+        else:  # every gradient a leaf gets has been added: publish it
+            t = node.tensor()
+            if t is not None:
+                t.grad = node.grad
+            node.grad = None
     return graph
 
 
-def _propagate(node: Tensor) -> None:
-    """Add a non-leaf's vjp of its gradient into its parents' gradients, and free
-    its own. Every array the call made is released on return, before the next
-    vjp runs."""
-    g_out, node.grad = node.grad, None
-    for parent, g in zip(node._parents, node._vjp(g_out)):
-        if not parent.requires_grad or g is None:
+def _propagate(node: Node) -> None:
+    """Add a recorded node's vjp of its gradient into its parents' gradients, and
+    release the vjp and the gradient. Every array the call made or the vjp held
+    is freed on return, before the next vjp runs."""
+    g_out, vjp = node.grad, node.vjp
+    node.grad = node.vjp = None
+    if vjp is None:
+        raise ShapeError(f"backward: the graph was consumed by an earlier backward ({node.op}'s vjp already ran)")
+    for parent, g in zip(node.parents, vjp(g_out)):
+        if g is None or not parent.wants_grad():
             continue
-        if np.shape(g) != parent.values.shape:
-            raise ShapeError(f"backward: {node.op} gave a {np.shape(g)} gradient for a {parent.values.shape} input")
+        if np.shape(g) != parent.shape:
+            raise ShapeError(f"backward: {node.op} gave a {np.shape(g)} gradient for a {parent.shape} input")
         if parent.grad is None:
-            parent.grad = np.array(g, dtype=parent.values.dtype)
+            parent.grad = np.array(g, dtype=parent.dtype)
         else:
             parent.grad += g
 

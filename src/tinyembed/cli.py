@@ -261,8 +261,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep_mrl(args) -> int:
     model = tm.load_checkpoint(args.checkpoint, trainable=False)
     tasks = ev.load_tasks(args.tasks)
-    dims = [int(d) for d in args.dims.split(",") if d]
-    rows = ev.mrl_sweep(model, tasks, dims)
+    rows = ev.mrl_sweep(model, tasks, args.dims)
     if args.out:
         ev.write_sweep_csv(args.out, rows)
     for d, score in rows:
@@ -329,6 +328,14 @@ def _count(minimum: int):
     return count
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type for a comma-separated list of integers (empty entries skipped)."""
+    try:
+        return [int(d) for d in text.split(",") if d]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tinyembed", description="Desk-scale embedding-model training pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("consolidate", help="ingest raw JSONL into canonical contrastive samples")
     p.add_argument("--input", required=True, help="JSONL file or directory of *.jsonl")
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int, default=None, help="max samples per source")
+    p.add_argument("--cap", type=_count(1), default=None, help="max samples per source")
     p.add_argument("--seed", type=int, default=0, help="seed for classed pairing and --cap sampling")
     p.set_defaults(fn=cmd_consolidate)
 
@@ -348,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine hard negatives with a checkpoint embedder")
     p.add_argument("--input", required=True, help="canonical JSONL")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--skip-top", type=int, default=1)
+    p.add_argument("--k", type=_count(1), required=True)
+    p.add_argument("--skip-top", type=_count(0), default=1)
     p.add_argument("--mode", choices=("replace", "extend"), default="replace")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_mine)
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-mrl", help="evaluate at several truncation dimensions")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tasks", required=True)
-    p.add_argument("--dims", required=True, help="comma-separated ascending dims, e.g. 8,16,32")
+    p.add_argument("--dims", type=_int_list, required=True, help="comma-separated ascending dims, e.g. 8,16,32")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep_mrl)
 

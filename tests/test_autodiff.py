@@ -1,5 +1,6 @@
 """Forward/backward unit tests and finite-difference checks for every primitive."""
 
+import weakref
 import zlib
 
 import numpy as np
@@ -150,7 +151,35 @@ def test_no_grad_builds_no_graph():
     x = leaf(np.ones((2, 2)))
     with ad.no_grad():
         y = ad.add(x, x)
-    assert not y.requires_grad and y._parents == ()
+    assert not y.requires_grad and y._node is None
+
+
+# --- what the graph keeps --------------------------------------------------------
+
+
+def test_a_value_no_vjp_captured_dies_with_its_tensor_before_backward():
+    # scale's vjp keeps only its factor, so nothing but the rope tensor holds the
+    # rope output; the graph links scale to rope's node, not to the tensor.
+    x = leaf(np.random.default_rng(41).standard_normal((6, 8)))
+    r = ad.rope(x, head_dim=4)
+    rope_out = weakref.ref(r.values)
+    y = ad.scale(r, 0.5)
+    del r
+    assert rope_out() is None
+    ad.backward(ad.sum_all(ad.mul(y, y)))
+    assert x.grad is not None and x.grad.shape == (6, 8)
+
+
+def test_a_second_backward_over_a_consumed_graph_raises():
+    x = leaf(np.random.default_rng(42).standard_normal((3, 4)))
+    loss = ad.sum_all(ad.silu(x))
+    ad.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ad.ShapeError, match="consumed by an earlier backward"):
+        ad.backward(loss)
+    # A fresh forward records a fresh graph.
+    ad.backward(ad.sum_all(ad.silu(x)))
+    np.testing.assert_array_equal(x.grad, first)
 
 
 def test_graph_node_visited_once():
@@ -169,18 +198,20 @@ def reference_backward(loss):
     and kept, on leaves and non-leaves alike."""
     graph = ad.trace(loss)
     for node in graph.nodes:
-        if node.requires_grad:
-            node.grad = None
-    loss.grad = np.ones((), dtype=loss.values.dtype)
+        node.grad = None
+    graph.nodes[-1].grad = np.ones((), dtype=loss.values.dtype)
     for node in reversed(graph.nodes):
-        if node._vjp is None or node.grad is None:
+        if node.vjp is None or node.grad is None:
             continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
-            if parent.requires_grad and g is not None:
+        for parent, g in zip(node.parents, node.vjp(node.grad)):
+            if parent.wants_grad() and g is not None:
                 if parent.grad is None:
-                    parent.grad = np.array(g, dtype=parent.values.dtype)
+                    parent.grad = np.array(g, dtype=parent.dtype)
                 else:
                     parent.grad += g
+    for node in graph.nodes:
+        if not node.parents and node.wants_grad():
+            node.tensor().grad = node.grad
     return graph
 
 
@@ -189,7 +220,7 @@ def assert_backward_equals_reference(build):
     reference's gradient bit for bit and leaves no non-leaf with a gradient."""
     loss, leaves = build()
     graph = ad.backward(loss)
-    assert [n.op for n in graph.nodes if n._vjp is not None and n.grad is not None] == []
+    assert [n.op for n in graph.nodes if n.parents and n.grad is not None] == []
     ref_loss, ref_leaves = build()
     reference_backward(ref_loss)
     for got, want in zip(leaves, ref_leaves):
@@ -224,11 +255,11 @@ def assert_vjps_repeat(nodes, seed):
     second pass in the opposite order: what a vjp rebuilds does not depend on
     which vjps ran before it."""
     rng = np.random.default_rng(seed)
-    nodes = [n for n in nodes if n._vjp is not None]
+    nodes = [n for n in nodes if n.vjp is not None]
     grads = [np.asarray(rng.standard_normal(n.shape), dtype=n.dtype) for n in nodes]
-    first = [n._vjp(g) for n, g in zip(reversed(nodes), reversed(grads))][::-1]
+    first = [n.vjp(g) for n, g in zip(reversed(nodes), reversed(grads))][::-1]
     for node, g, want in zip(nodes, grads, first):
-        for got, w in zip(node._vjp(g), want):
+        for got, w in zip(node.vjp(g), want):
             assert (got is None) == (w is None), node.op
             if w is not None:
                 np.testing.assert_array_equal(got, w, err_msg=node.op)
@@ -837,14 +868,12 @@ def test_grad_check_softmax_cross_entropy():
 
 
 def test_grad_check_raises_on_wrong_gradient():
-    bad = Tensor.__new__(Tensor)
-
     def fn(x):
         out = ad.sum_all(x)
         wrong = ad.scale(out, 1.0)
-        wrong._vjp = lambda g: (np.full_like(x.values, 5.0),)
-        wrong._parents = (x,)
-        wrong.requires_grad = True
+        if wrong._node is not None:  # no graph in grad_check's no-grad evaluations
+            wrong._node.vjp = lambda g: (np.full_like(x.values, 5.0),)
+            wrong._node.parents = (x._node,)
         return wrong
 
     with pytest.raises(ad.GradientCheckError):

@@ -603,6 +603,39 @@ def test_count_flag_below_one_exit_2_naming_the_flag(trained_run, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, minimum", [
+    ("consolidate", "--cap", "0", 1),
+    ("mine", "--k", "0", 1),
+    ("mine", "--k", "-1", 1),
+    ("mine", "--skip-top", "-1", 0),
+])
+def test_count_flag_below_its_minimum_exits_2_naming_the_flag(tmp_path, capsys, command, flag, value, minimum):
+    # Checked as the arguments parse, before any input is read: --cap 0 wrote an
+    # empty canonical.jsonl and exited 0, --k 0 mined nothing, and a negative
+    # --k or --skip-top failed in the miner with a message naming neither flag.
+    write_raw_inputs(tmp_path / "raw")
+    out = tmp_path / "out"
+    argv = {
+        "consolidate": ["consolidate", "--input", str(tmp_path / "raw"), "--out", str(out)],
+        "mine": ["mine", "--input", str(tmp_path / "in.jsonl"), "--checkpoint", str(tmp_path), "--k", "2", "--out", str(out)],
+    }[command] + [flag, value]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"argument {flag}: must be >= {minimum}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", ["8,x", "8,16.0", "eight"])
+def test_sweep_mrl_dims_that_are_not_integers_exit_2_naming_the_flag(tmp_path, capsys, dims):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep-mrl", "--checkpoint", str(tmp_path), "--tasks", str(tmp_path / "tasks.json"), "--dims", dims])
+    assert exit_.value.code == 2
+    assert f"argument --dims: expected comma-separated integers, got {dims!r}" in capsys.readouterr().err
+
+
 def test_ablate_smoke(tmp_path):
     data = write_toy_canonical(tmp_path, n=16, n_clusters=4, seed=2)
     plan = write_plan(tmp_path, [data], mrl_dims=[8, 16], seed=5)

@@ -1,9 +1,11 @@
 """Loss oracles, AdamW behavior, and stage-loop policy tests."""
 
+import gc
 import math
 import random
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -621,13 +623,34 @@ def test_packed_step_vjps_called_twice_in_either_order_give_the_same_arrays(dtyp
     assert_vjps_repeat(ad.trace(loss).nodes, seed=5)
 
 
+def test_a_trained_model_is_freed_without_the_cyclic_collector():
+    # A graph node reaches its leaf tensor through a weak reference: a strong one
+    # would make a tensor-node cycle that keeps each run's model and last graph
+    # alive until a full collection.
+    plan = make_plan(stage=2, teacher="ckpt", loss=LossConfig(mrl_dims=(8, 16, 32)), epochs=2)
+    teacher = init_model(PACKED_TEACHER_CFG, seed=4)
+    gc.collect()
+    gc.disable()
+    try:
+        model = init_model(PACKED_CFG, seed=2)
+        tt.train_stage(model, [_mixed_batch(CLUSTERING, seed=3)], plan, teacher=teacher)
+        weights = weakref.ref(model.params["layers.0.q_proj"].values)
+        del model
+        assert weights() is None
+    finally:
+        gc.enable()
+
+
 def test_packed_step_memory_stays_near_its_node_values():
-    # Traced bytes over the bytes of the graph's node values. Backward frees each
-    # non-leaf gradient once consumed: it peaks 0.28 above what was live when it
-    # started, against 1.13 when every gradient was kept. The vjps keep no copy
-    # they can rebuild: the step peaks at 1.59, against 1.68-1.73 with any one of
-    # attention's operands, rope's table rows or silu's sigmoid kept, 1.88 with
-    # all three and 2.77 with every gradient kept too.
+    # Traced bytes over the bytes of the graph's node values (shape x itemsize of
+    # every recorded node). Backward frees each non-leaf gradient, and each vjp
+    # with what it captured, once consumed: it peaks 0.15 above what was live when
+    # it started, 0.28 with the vjps kept and 1.13 with every gradient kept too.
+    # The vjps keep no copy they can rebuild, and the graph no value that no vjp
+    # reads: the step peaks at 1.26, 1.39 with the vjps kept, 1.59 when the graph
+    # also linked tensors, 1.68-1.73 with any one of attention's operands, rope's
+    # table rows or silu's sigmoid kept as well, 1.88 with all three and 2.77 with
+    # every gradient kept.
     ad.backward(_step_graph(np.float32, with_teacher=False)[0])  # fill first-call caches untraced
     tracemalloc.start()
     try:
@@ -638,6 +661,6 @@ def test_packed_step_memory_stays_near_its_node_values():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    values = sum(n.values.nbytes for n in ad.trace(loss).nodes if n._vjp is not None)
+    values = sum(math.prod(n.shape) * n.dtype.itemsize for n in ad.trace(loss).nodes if n.parents)
     assert (peak - live) / values < 0.5
     assert peak / values < 1.65

@@ -6,8 +6,11 @@ Run it from the root of a checkout: it imports the program from ``src/`` and the
 workloads from ``perfbench/``, sets the workload up once, runs one untraced
 warm-up cycle, then traces one cycle with one BLAS thread. It prints:
 
-- per train step, the traced MB live when ``backward`` starts (after the
-  forward and the loss), the peak MB inside ``backward`` and the MB live after it;
+- per train step, the traced peak MB before ``backward`` (from the previous
+  step's ``backward``, or the subcommand's start, through this step's forward
+  and loss), the MB of arrays the graph's vjp closures hold when ``backward``
+  starts (distinct buffers, leaf values such as parameters left out), the
+  traced MB live then, the peak MB inside ``backward`` and the MB live after it;
 - the five vjp calls with the largest transients (peak inside the call over
   the MB live when it started);
 - each subcommand's peak MB;
@@ -38,12 +41,47 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
 import tinyembed.autodiff as ad  # noqa: E402
 import tinyembed.cli as cli  # noqa: E402
 from run import Runner  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 MB = 1e6
+
+
+def _buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def closure_bytes(nodes) -> int:
+    """Bytes of the distinct array buffers that the nodes' vjp closures hold,
+    through nested closures, tuples and lists, leaving out the leaves' values."""
+    leaves = [n.tensor() for n in nodes if n.tensor is not None]
+    seen = {id(_buffer(t.values)) for t in leaves if t is not None}
+    stack, total = [n.vjp for n in nodes if n.vjp is not None], 0
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            obj = _buffer(obj)
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            total += obj.nbytes
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not yet filled
+                    pass
+    return total
 
 
 class MemoryProfile:
@@ -54,7 +92,8 @@ class MemoryProfile:
     def __init__(self):
         self.on = False
         self._open: list[list[int]] = []
-        self.steps: list[tuple[int, int, int]] = []  # live at backward, peak in it, live after
+        # peak before backward, vjp closures' bytes, live at backward, peak in it, live after
+        self.steps: list[tuple[int, int, int, int, int]] = []
         self.vjps: list[tuple[int, str, tuple, int, int]] = []  # transient, op, output shape, step, peak
         self.commands: list[tuple[str, int]] = []
 
@@ -95,9 +134,11 @@ class MemoryProfile:
         def traced_backward(loss):
             if not self.on:
                 return backward(loss)
+            before = tracemalloc.get_traced_memory()[1]  # since the last window opened or closed
+            held = closure_bytes(ad.trace(loss).nodes)
             with self.window() as (peak, live):
                 graph = backward(loss)
-            self.steps.append((live, peak[0], tracemalloc.get_traced_memory()[0]))
+            self.steps.append((before, held, live, peak[0], tracemalloc.get_traced_memory()[0]))
             return graph
 
         def traced_run(argv):
@@ -114,11 +155,13 @@ class MemoryProfile:
     def report(self) -> str:
         lines = []
         if self.steps:
-            lines.append(f"{'step':>4}{'live at backward MB':>21}{'peak in backward MB':>21}{'live after MB':>15}  peak in")
-            for i, (live, peak, after) in enumerate(self.steps, 1):
+            lines.append(f"{'step':>4}{'peak before backward MB':>25}{'vjp closures MB':>17}{'live at backward MB':>21}"
+                         f"{'peak in backward MB':>21}{'live after MB':>15}  peak in")
+            for i, (before, held, live, peak, after) in enumerate(self.steps, 1):
                 at = max((v for v in self.vjps if v[3] == i), key=lambda v: v[4], default=None)
                 where = f"{at[1]} vjp, output {at[2]}" if at is not None and at[4] == peak else "backward, between vjps"
-                lines.append(f"{i:>4}{live / MB:>21.2f}{peak / MB:>21.2f}{after / MB:>15.2f}  {where}")
+                lines.append(f"{i:>4}{before / MB:>25.2f}{held / MB:>17.2f}{live / MB:>21.2f}"
+                             f"{peak / MB:>21.2f}{after / MB:>15.2f}  {where}")
             lines.append("largest vjp transients:")
             for transient, op, shape, step, _ in sorted(self.vjps, key=lambda v: -v[0])[:5]:
                 lines.append(f"  {op:<20} output {str(shape):<14} step {step:>3} {transient / MB:>8.2f} MB")
