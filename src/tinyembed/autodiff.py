@@ -15,7 +15,8 @@ nodes, not tensors, so a value that no vjp captured dies with its tensor during
 the forward. `backward` consumes the graph: it frees each non-leaf gradient,
 and each vjp with the arrays it captured, once the vjp has run. A vjp keeps only
 what it cannot cheaply rebuild: attention's head-layout operands, rope's table
-rows and silu's sigmoid are made again when it runs, with the forward's ops.
+rows, silu's sigmoid, and gated_mlp's sigmoid, silu output and activation are
+made again when it runs, with the forward's ops.
 """
 
 from __future__ import annotations
@@ -143,9 +144,13 @@ def primitive_set() -> dict[str, str]:
     return dict(sorted(_PRIMITIVES.items()))
 
 
-def _make(op: str, values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _check_finite(op: str, values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise NonFiniteError(f"primitive {op!r} produced non-finite values")
+
+
+def _make(op: str, values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    _check_finite(op, values)
     out = Tensor.__new__(Tensor)
     out.values = values
     out.grad = None
@@ -192,6 +197,37 @@ def _sum_slices(parts: np.ndarray) -> np.ndarray:
     return np.add.reduce(parts, axis=0, initial=0.0)
 
 
+def _matmul_rows(av: np.ndarray, bv: np.ndarray, segments: Sequence[int] | None) -> np.ndarray:
+    """av @ bv, each one-row segment taking its own one-row product (see matmul)."""
+    out = av @ bv
+    if segments is not None and len(segments) > 1 and 1 in segments:
+        for r0, n, t in _runs(segments, av.shape[0]):
+            if t == 1:
+                np.matmul(av[r0 : r0 + n, None], bv, out=out[r0 : r0 + n, None])
+    return out
+
+
+def _matmul_grad_a(g: np.ndarray, bv: np.ndarray, runs) -> np.ndarray:
+    """a's gradient of av @ bv: g @ bv.T per run of equal-length segments."""
+    ga = np.empty((g.shape[0], bv.shape[0]), dtype=np.result_type(g, bv))
+    for r0, n, t in runs:
+        r1 = r0 + n * t
+        np.matmul(g[r0:r1].reshape(n, t, -1), bv.T, out=ga[r0:r1].reshape(n, t, -1))
+    return ga
+
+
+def _matmul_grad_b(av: np.ndarray, g: np.ndarray, runs) -> np.ndarray:
+    """b's gradient of av @ bv: per-segment av.T @ g, added in segment order."""
+    gb = 0.0
+    parts = np.empty((1 + max(n for _, n, _ in runs), av.shape[1], g.shape[1]), dtype=np.result_type(av, g))
+    for r0, n, t in runs:
+        r1 = r0 + n * t
+        parts[0] = gb  # the earlier runs' sum
+        np.matmul(av[r0:r1].reshape(n, t, -1).swapaxes(1, 2), g[r0:r1].reshape(n, t, -1), out=parts[1 : 1 + n])
+        gb = _sum_slices(parts[: 1 + n])
+    return gb
+
+
 @_primitive("matmul", "matrix product of a (R,K) by b (K,C), optionally over row segments")
 def matmul(a: Tensor, b: Tensor, segments: Sequence[int] | None = None) -> Tensor:
     """With segments (row counts of stacked sequences), every product rounds as
@@ -207,26 +243,12 @@ def matmul(a: Tensor, b: Tensor, segments: Sequence[int] | None = None) -> Tenso
     av, bv = a.values, b.values
     _shape_check("matmul", av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0], av.shape, bv.shape)
     _check_segments("matmul", segments, av.shape[0])
-    out = av @ bv
-    if segments is not None and len(segments) > 1 and 1 in segments:
-        for r0, n, t in _runs(segments, av.shape[0]):
-            if t == 1:
-                np.matmul(av[r0 : r0 + n, None], bv, out=out[r0 : r0 + n, None])
 
     def vjp(g):
         runs = _runs(segments, av.shape[0])
-        ga, gb = np.empty(av.shape, dtype=np.result_type(g, bv)), 0.0
-        parts = np.empty((1 + max(n for _, n, _ in runs), *bv.shape), dtype=np.result_type(av, g))
-        for r0, n, t in runs:
-            r1 = r0 + n * t
-            g_run = g[r0:r1].reshape(n, t, -1)
-            np.matmul(g_run, bv.T, out=ga[r0:r1].reshape(n, t, -1))
-            parts[0] = gb  # the earlier runs' sum
-            np.matmul(av[r0:r1].reshape(n, t, -1).swapaxes(1, 2), g_run, out=parts[1 : 1 + n])
-            gb = _sum_slices(parts[: 1 + n])
-        return ga, gb
+        return _matmul_grad_a(g, bv, runs), _matmul_grad_b(av, g, runs)
 
-    return _make("matmul", out, (a, b), vjp)
+    return _make("matmul", _matmul_rows(av, bv, segments), (a, b), vjp)
 
 
 @_primitive("transpose", "2-D transpose")
@@ -488,6 +510,62 @@ def silu(a: Tensor) -> Tensor:
         return (gx,)
 
     return _make("silu", av * sig, (a,), vjp)
+
+
+@_primitive("gated_mlp", "silu(x @ w_gate) * (x @ w_up) @ w_down, optionally over row segments")
+def gated_mlp(
+    x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor, segments: Sequence[int] | None = None,
+    acts: list[np.ndarray] | None = None,
+) -> Tensor:
+    """One node for the matmul/silu/mul/matmul chain, rounding exactly as it
+    would, segments as in matmul. With acts, the activation silu(gate) * up is
+    appended to it. NonFiniteError names gated_mlp when the activation or the
+    output is not finite: a non-finite gate or up makes the activation so (inf
+    times 0 is NaN), so this covers every value the chain checked.
+
+    The vjp keeps x, gate and up, and rebuilds silu's sigmoid and output and the
+    activation with the forward's ops. It holds at most three rows x MLP arrays
+    of its own at once; x's gradient is the gate part plus the up part, the sum
+    backward would form from the two matmuls' parts."""
+    xv, wg, wu, wd = x.values, w_gate.values, w_up.values, w_down.values
+    _shape_check(
+        "gated_mlp",
+        xv.ndim == wg.ndim == wd.ndim == 2 and wg.shape == wu.shape and xv.shape[1] == wg.shape[0]
+        and wd.shape[0] == wg.shape[1],
+        xv.shape, wg.shape, wu.shape, wd.shape,
+    )
+    _check_segments("gated_mlp", segments, xv.shape[0])
+    gate, up = _matmul_rows(xv, wg, segments), _matmul_rows(xv, wu, segments)
+    act = _sigmoid(gate)
+    act *= gate  # silu(gate): gate * sig, as silu's av * sig
+    act *= up
+    _check_finite("gated_mlp", act)
+    if acts is not None:
+        acts.append(act)
+
+    def vjp(g):
+        runs = _runs(segments, xv.shape[0])
+        sig = _sigmoid(gate)
+        s = gate * sig
+        act = s * up
+        g_wd = _matmul_grad_b(act, g, runs)
+        del act
+        g_act = _matmul_grad_a(g, wd, runs)
+        g_up = np.multiply(g_act, s, out=s)  # mul's vjp: g * s for up, g * up for s
+        g_act *= up
+        g_act *= sig  # silu's vjp, in place as silu's: ((1 - sig) * gate + 1) * (g * sig)
+        g_gate = np.subtract(1.0, sig, out=sig)
+        g_gate *= gate
+        g_gate += 1.0
+        g_gate *= g_act
+        del g_act
+        gx = _matmul_grad_a(g_gate, wg, runs)
+        g_wg = _matmul_grad_b(xv, g_gate, runs)
+        del g_gate
+        gx += _matmul_grad_a(g_up, wu, runs)
+        return gx, g_wg, _matmul_grad_b(xv, g_up, runs), g_wd
+
+    return _make("gated_mlp", _matmul_rows(act, wd, segments), (x, w_gate, w_up, w_down), vjp)
 
 
 @_primitive("gather_rows", "select rows by integer index (embedding lookup / element select)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -90,7 +90,8 @@ class CanonicalSample:
         return self.format == RETRIEVAL
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False, sort_keys=True)
+        # vars, not asdict: asdict deep-copies every field of every sample.
+        return json.dumps(vars(self), ensure_ascii=False, sort_keys=True)
 
 
 CANONICAL_FIELDS = {

@@ -225,6 +225,9 @@ class _EmbedCache:
         self.hits = 0
 
     def warm(self, texts: list[str]) -> None:
+        """Embed the texts not seen yet in one raw_embeddings call. Callers pass
+        every task's texts at once, so texts of equal length from different tasks
+        share length chunks, and one thread pool runs them all."""
         new: dict[str, None] = {}
         for text in texts:
             self.requests += 1
@@ -282,8 +285,7 @@ def evaluate(model: EmbeddingModel, tasks: list[EvalTask], dim: int | None = Non
     if dim is not None and not 1 <= dim <= model.config.hidden_size:
         raise ValueError(f"dim {dim} out of range [1, {model.config.hidden_size}]")
     cache = _EmbedCache(model)
-    for task in tasks:
-        cache.warm(task.texts())
+    cache.warm([text for task in tasks for text in task.texts()])
     scores = [TaskScore(t.name, t.kind, _score_task(t, cache, dim)) for t in tasks]
     mean = sum(s.score for s in scores) / len(scores) if scores else None
     return EvalReport(scores, mean, len(cache.raw), cache.requests, cache.hits)
@@ -300,8 +302,7 @@ def mrl_sweep(model: EmbeddingModel, tasks: list[EvalTask], dims: list[int]) -> 
     if dims[0] < 8 or dims[-1] > model.config.hidden_size:
         raise ValueError(f"dims must lie within [8, {model.config.hidden_size}]")
     cache = _EmbedCache(model)
-    for task in tasks:
-        cache.warm(task.texts())
+    cache.warm([text for task in tasks for text in task.texts()])
     rows = []
     for d in dims:
         scores = [_score_task(t, cache, d) for t in tasks]

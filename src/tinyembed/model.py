@@ -221,13 +221,11 @@ def _forward(model: EmbeddingModel, seqs: list[list[int]], taps: TapRecorder | N
         attn = ad.causal_attention(q, k, v, hd, lengths=seg, last_query=q_seg is None)
         h = ad.add(h, ad.matmul(attn, p[lp + "o_proj"], segments=q_seg))
         x = ad.rms_norm(h, p[lp + "mlp_norm"], eps=RMS_EPS, segments=q_seg)
-        act = ad.mul(
-            ad.silu(ad.matmul(x, p[lp + "gate_proj"], segments=q_seg)), ad.matmul(x, p[lp + "up_proj"], segments=q_seg)
-        )
-        h = ad.add(h, ad.matmul(act, p[lp + "down_proj"], segments=q_seg))
+        mlp_weights = (p[lp + "gate_proj"], p[lp + "up_proj"], p[lp + "down_proj"])
+        acts = None if taps is None else taps.mlp_act
+        h = ad.add(h, ad.gated_mlp(x, *mlp_weights, segments=q_seg, acts=acts))
         if taps is not None:
             taps.residual.append(h.values.copy())
-            taps.mlp_act.append(act.values.copy())
     if eos_only and q_seg is not None:
         h, q_seg = ad.gather_rows(h, ends), None
     return ad.rms_norm(h, p["final_norm"], eps=RMS_EPS, segments=q_seg)

@@ -315,6 +315,18 @@ def _info_nce_case(q, p, n0):
     return ad.info_nce(ad.concat([q, p, n0, _NN2], axis=0), 3, [2, 0, 1], inv_t=1.5, in_batch=True)
 
 
+# A gated MLP of hidden 3 and width 5 over the 8 rows of _RAGGED.
+_MX = Tensor(RNG.standard_normal((8, 3)), requires_grad=False)
+_MG = Tensor(RNG.standard_normal((3, 5)), requires_grad=False)
+_MU = Tensor(RNG.standard_normal((3, 5)), requires_grad=False)
+_MD = Tensor(RNG.standard_normal((5, 3)), requires_grad=False)
+_MO = Tensor(RNG.standard_normal((8, 3)), requires_grad=False)
+
+
+def _gated_mlp_case(x, w_gate, w_up, w_down, segments=_RAGGED):
+    return ad.sum_all(ad.mul(ad.gated_mlp(x, w_gate, w_up, w_down, segments=segments), _MO))
+
+
 SMOOTH = 1e-5
 DEFAULT = 1e-3
 
@@ -382,6 +394,11 @@ GRAD_CASES = {
     "info_nce_q": (lambda x: _info_nce_case(x, _NP, _NN0), (3, 4), SMOOTH),
     "info_nce_p": (lambda x: _info_nce_case(_NQ, x, _NN0), (3, 4), SMOOTH),
     "info_nce_n": (lambda x: _info_nce_case(_NQ, _NP, x), (2, 4), SMOOTH),
+    "gated_mlp": (lambda x: _gated_mlp_case(x, _MG, _MU, _MD, segments=None), (8, 3), SMOOTH),
+    "gated_mlp_segments": (lambda x: _gated_mlp_case(x, _MG, _MU, _MD), (8, 3), SMOOTH),
+    "gated_mlp_segments_w_gate": (lambda x: _gated_mlp_case(_MX, x, _MU, _MD), (3, 5), SMOOTH),
+    "gated_mlp_segments_w_up": (lambda x: _gated_mlp_case(_MX, _MG, x, _MD), (3, 5), SMOOTH),
+    "gated_mlp_segments_w_down": (lambda x: _gated_mlp_case(_MX, _MG, _MU, x), (5, 3), SMOOTH),
 }
 
 
@@ -837,6 +854,49 @@ def test_grouped_info_nce_bitwise_equals_per_query_reference():
                         lambda e: _info_nce_reference(e, b, counts, inv_t=20.0, in_batch=in_batch),
                         [emb], rng, f"{dtype.__name__} b={b} counts={counts} in_batch={in_batch} d={d}",
                     )
+
+
+# --- gated_mlp against the matmul/silu/mul/matmul chain it replaced -----------
+
+
+def unfused_gated_mlp(x, w_gate, w_up, w_down, segments=None, acts=None):
+    """The MLP as the matmul/silu/mul/matmul chain; its activation is appended to acts."""
+    act = ad.mul(ad.silu(ad.matmul(x, w_gate, segments)), ad.matmul(x, w_up, segments))
+    if acts is not None:
+        acts.append(act.values)
+    return ad.matmul(act, w_down, segments)
+
+
+def test_gated_mlp_bitwise_equals_the_unfused_chain():
+    # Forward, the activation it appends and every gradient, x's the sum of the
+    # gate and up parts as backward adds them.
+    rng = np.random.default_rng(35)
+    for dtype in (np.float32, np.float64):
+        for segments in _SEGMENT_CASES:
+            rows = 9 if segments is None else sum(segments)
+            for hidden, width in ((64, 256), (32, 128), (3, 5)):
+                shapes = ((rows, hidden), (hidden, width), (hidden, width), (width, hidden))
+                inputs = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+                msg = f"{dtype.__name__} hidden={hidden} width={width} segments={segments}"
+                _assert_bitwise_like_reference(
+                    lambda *a: ad.gated_mlp(*a, segments=segments), lambda *a: unfused_gated_mlp(*a, segments=segments),
+                    inputs, rng, msg,
+                )
+                acts, want = [], []
+                ad.gated_mlp(*map(Tensor, inputs), segments=segments, acts=acts)
+                unfused_gated_mlp(*map(Tensor, inputs), segments=segments, acts=want)
+                assert len(acts) == 1 and acts[0].dtype == dtype
+                np.testing.assert_array_equal(acts[0], want[0], err_msg=msg)
+
+
+def test_gated_mlp_names_itself_when_a_value_the_chain_checked_overflows():
+    # float32 overflows above 3.4e38: in the gate, in the up product, in the
+    # activation silu(gate) * up, and only in the output.
+    one = np.ones((1, 1), dtype=np.float32)
+    for x, wg, wu, wd in ((2.0, 3e38, 1.0, 1.0), (2.0, 1.0, 3e38, 1.0), (2e20, 1.0, 1.0, 1.0), (2e18, 1.0, 1.0, 1e4)):
+        for fn, name in ((ad.gated_mlp, "gated_mlp"), (unfused_gated_mlp, "matmul|mul")):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFiniteError, match=name):
+                fn(*(Tensor(one * v, requires_grad=True) for v in (x, wg, wu, wd)))
 
 
 def test_backward_rejects_a_gradient_shaped_unlike_its_input():

@@ -13,6 +13,8 @@ from tinyembed import model as tm
 from tinyembed.model import ModelConfig
 from tinyembed.tokenizer import EOS_ID, PAD_ID, detokenize, tokenize
 
+from test_autodiff import unfused_gated_mlp
+
 TINY = ModelConfig(
     hidden_size=16,
     mlp_intermediate_size=24,
@@ -221,13 +223,18 @@ def test_raw_embeddings_run_the_last_layer_on_eos_rows_only(monkeypatch):
     # sequences narrow, and only in the last layer.
     texts = ["abc", "", "ghij", "def", "klmn"]
     rows = {}
-    matmul = ad.matmul
+    matmul, gated_mlp = ad.matmul, ad.gated_mlp
 
     def spy(a, b, segments=None):
         rows.setdefault(id(b), []).append(a.shape[0])
         return matmul(a, b, segments)
 
+    def mlp_spy(x, w_gate, *weights, **kw):
+        rows.setdefault(id(w_gate), []).append(x.shape[0])
+        return gated_mlp(x, w_gate, *weights, **kw)
+
     monkeypatch.setattr(ad, "matmul", spy)
+    monkeypatch.setattr(ad, "gated_mlp", mlp_spy)
     monkeypatch.setattr(tm, "_cpu_count", lambda: 1)  # concurrent chunks would interleave the calls
     for cfg in (WIDE, replace(WIDE, num_heads=WIDE.num_kv_heads, num_layers=3)):
         m = tm.init_model(cfg, seed=4)
@@ -236,6 +243,56 @@ def test_raw_embeddings_run_the_last_layer_on_eos_rows_only(monkeypatch):
         assert rows[id(m.params["layers.0.gate_proj"])] == [1, 8, 10]
         assert rows[id(m.params[f"layers.{cfg.num_layers - 1}.gate_proj"])] == [1, 2, 2]
         assert rows[id(m.params[f"layers.{cfg.num_layers - 1}.k_proj"])] == [1, 8, 10]
+
+
+def test_forward_bitwise_equals_the_unfused_mlp_chain(monkeypatch):
+    # Taps (the pruning calibration path), no-grad EOS rows, and a packed
+    # forward's output and parameter gradients, against the same model with the
+    # MLP built from the unfused chain.
+    m = tm.init_model(WIDE, seed=10)
+    seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=4)]
+    monkeypatch.setattr(tm, "_cpu_count", lambda: 1)
+
+    def run():
+        taps = [(idx, r.residual, r.mlp_act) for idx, r in tm.forward_chunks(m, seqs)]
+        out = tm.raw_sequence_embeddings(m, seqs)
+        ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(np.cos(np.arange(out.values.size)).reshape(out.shape)))))
+        return taps, [tm.raw_embeddings(m, seqs), out.values] + [p.grad for p in m.params.values()]
+
+    fused_taps, fused = run()
+    monkeypatch.setattr(ad, "gated_mlp", unfused_gated_mlp)
+    chain_taps, chain = run()
+    assert len(fused_taps) == len(chain_taps) > 8
+    for (idx, res, acts), (want_idx, want_res, want_acts) in zip(fused_taps, chain_taps):
+        assert idx == want_idx and len(acts) == len(want_acts) == WIDE.num_layers
+        for got, want in zip(res + acts, want_res + want_acts):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_mlp_act_taps_are_the_chains_activation_of_each_layer(monkeypatch):
+    # Pruning calibration reads mlp_act: each layer's silu(gate) * up, as the
+    # unfused chain computes it from that layer's MLP input, in layer order.
+    m = tm.init_model(WIDE, seed=11)
+    seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=5)]
+    calls, gated_mlp = [], ad.gated_mlp
+
+    def spy(x, *weights, segments=None, acts=None):
+        calls.append((x, weights, segments))
+        return gated_mlp(x, *weights, segments=segments, acts=acts)
+
+    monkeypatch.setattr(ad, "gated_mlp", spy)
+    for _, taps in tm.forward_chunks(m, seqs):
+        assert len(taps.mlp_act) == len(calls) == WIDE.num_layers
+        for got, (x, weights, segments) in zip(taps.mlp_act, calls):
+            want = []
+            unfused_gated_mlp(x, *weights, segments=segments, acts=want)
+            assert got.dtype == want[0].dtype
+            np.testing.assert_array_equal(got, want[0])
+        calls.clear()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

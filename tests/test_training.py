@@ -642,15 +642,18 @@ def test_a_trained_model_is_freed_without_the_cyclic_collector():
 
 
 def test_packed_step_memory_stays_near_its_node_values():
-    # Traced bytes over the bytes of the graph's node values (shape x itemsize of
-    # every recorded node). Backward frees each non-leaf gradient, and each vjp
-    # with what it captured, once consumed: it peaks 0.15 above what was live when
-    # it started, 0.28 with the vjps kept and 1.13 with every gradient kept too.
-    # The vjps keep no copy they can rebuild, and the graph no value that no vjp
-    # reads: the step peaks at 1.26, 1.39 with the vjps kept, 1.59 when the graph
-    # also linked tensors, 1.68-1.73 with any one of attention's operands, rope's
-    # table rows or silu's sigmoid kept as well, 1.88 with all three and 2.77 with
-    # every gradient kept.
+    # Traced bytes over the bytes of the node values the graph records with its
+    # MLPs as matmul/silu/mul/matmul chains: shape x itemsize of every recorded
+    # node, plus the gate, up, silu and mul outputs (four rows x width arrays)
+    # that each gated_mlp node stands for. Backward frees each non-leaf gradient,
+    # and each vjp with what it captured, once consumed: it peaks 0.15 above what
+    # was live when it started, 0.28 with the vjps kept and 1.13 with every
+    # gradient kept too (these with the chains). The vjps keep no copy they can
+    # rebuild, and the graph no value that no vjp reads: the step peaks at 1.07,
+    # and at 1.26 with the chains, 1.39 with the vjps kept as well, 1.59 when the
+    # graph also linked tensors, 1.68-1.73 with any one of attention's operands,
+    # rope's table rows or silu's sigmoid kept as well, 1.88 with all three and
+    # 2.77 with every gradient kept.
     ad.backward(_step_graph(np.float32, with_teacher=False)[0])  # fill first-call caches untraced
     tracemalloc.start()
     try:
@@ -661,6 +664,8 @@ def test_packed_step_memory_stays_near_its_node_values():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    values = sum(math.prod(n.shape) * n.dtype.itemsize for n in ad.trace(loss).nodes if n.parents)
+    nodes = [n for n in ad.trace(loss).nodes if n.parents]
+    values = sum(math.prod(n.shape) * n.dtype.itemsize for n in nodes)
+    values += sum(4 * n.shape[0] * n.parents[1].shape[1] * n.dtype.itemsize for n in nodes if n.op == "gated_mlp")
     assert (peak - live) / values < 0.5
-    assert peak / values < 1.65
+    assert peak / values < 1.26  # the peak with the chains

@@ -11,6 +11,8 @@ warm-up cycle, then traces one cycle with one BLAS thread. It prints:
   and loss), the MB of arrays the graph's vjp closures hold when ``backward``
   starts (distinct buffers, leaf values such as parameters left out), the
   traced MB live then, the peak MB inside ``backward`` and the MB live after it;
+- per op and train step, the MB of those closures, each buffer counted once,
+  for the first node in graph order whose vjp holds it;
 - the five vjp calls with the largest transients (peak inside the call over
   the MB live when it started);
 - each subcommand's peak MB;
@@ -35,6 +37,7 @@ import shutil
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -58,30 +61,34 @@ def _buffer(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def closure_bytes(nodes) -> int:
+def closure_bytes(nodes) -> Counter:
     """Bytes of the distinct array buffers that the nodes' vjp closures hold,
-    through nested closures, tuples and lists, leaving out the leaves' values."""
+    through nested closures, tuples and lists, leaving out the leaves' values,
+    by op: a buffer that several vjps hold counts once, for the first of them
+    in graph order (forward order)."""
     leaves = [n.tensor() for n in nodes if n.tensor is not None]
     seen = {id(_buffer(t.values)) for t in leaves if t is not None}
-    stack, total = [n.vjp for n in nodes if n.vjp is not None], 0
-    while stack:
-        obj = stack.pop()
-        if isinstance(obj, np.ndarray):
-            obj = _buffer(obj)
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            total += obj.nbytes
-        elif isinstance(obj, (tuple, list)):
-            stack.extend(obj)
-        elif callable(obj) and getattr(obj, "__closure__", None):
-            for cell in obj.__closure__:
-                try:
-                    stack.append(cell.cell_contents)
-                except ValueError:  # a cell not yet filled
-                    pass
-    return total
+    held = Counter()
+    for node in nodes:
+        stack = [node.vjp]  # None for a leaf, which holds nothing
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, np.ndarray):
+                obj = _buffer(obj)
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                held[node.op] += obj.nbytes
+            elif isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                for cell in obj.__closure__:
+                    try:
+                        stack.append(cell.cell_contents)
+                    except ValueError:  # a cell not yet filled
+                        pass
+    return held
 
 
 class MemoryProfile:
@@ -94,6 +101,7 @@ class MemoryProfile:
         self._open: list[list[int]] = []
         # peak before backward, vjp closures' bytes, live at backward, peak in it, live after
         self.steps: list[tuple[int, int, int, int, int]] = []
+        self.held: list[Counter] = []  # per step, vjp closures' bytes by op
         self.vjps: list[tuple[int, str, tuple, int, int]] = []  # transient, op, output shape, step, peak
         self.commands: list[tuple[str, int]] = []
 
@@ -138,7 +146,8 @@ class MemoryProfile:
             held = closure_bytes(ad.trace(loss).nodes)
             with self.window() as (peak, live):
                 graph = backward(loss)
-            self.steps.append((before, held, live, peak[0], tracemalloc.get_traced_memory()[0]))
+            self.steps.append((before, sum(held.values()), live, peak[0], tracemalloc.get_traced_memory()[0]))
+            self.held.append(held)
             return graph
 
         def traced_run(argv):
@@ -162,6 +171,11 @@ class MemoryProfile:
                 where = f"{at[1]} vjp, output {at[2]}" if at is not None and at[4] == peak else "backward, between vjps"
                 lines.append(f"{i:>4}{before / MB:>25.2f}{held / MB:>17.2f}{live / MB:>21.2f}"
                              f"{peak / MB:>21.2f}{after / MB:>15.2f}  {where}")
+            lines.append("vjp closures at backward's start, MB by op:")
+            ops = sorted(set().union(*self.held), key=lambda op: -sum(h[op] for h in self.held))
+            lines.append(f"  {'op':<20}" + "".join(f"{'step ' + str(i):>9}" for i in range(1, len(self.held) + 1)))
+            for op in ops:
+                lines.append(f"  {op:<20}" + "".join(f"{h[op] / MB:>9.2f}" for h in self.held))
             lines.append("largest vjp transients:")
             for transient, op, shape, step, _ in sorted(self.vjps, key=lambda v: -v[0])[:5]:
                 lines.append(f"  {op:<20} output {str(shape):<14} step {step:>3} {transient / MB:>8.2f} MB")
