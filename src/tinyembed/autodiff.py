@@ -16,7 +16,8 @@ the forward. `backward` consumes the graph: it frees each non-leaf gradient,
 and each vjp with the arrays it captured, once the vjp has run. A vjp keeps only
 what it cannot cheaply rebuild: attention's head-layout operands, rope's table
 rows, silu's sigmoid, and gated_mlp's sigmoid, silu output and activation are
-made again when it runs, with the forward's ops.
+made again when it runs, with the forward's ops. The gated_mlp and attention
+vjps run in blocks of whole sequences, so their transients are a block's.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+
+# Most rows one block of whole sequences holds: a no-grad forward chunk
+# (model.length_chunks), an attention block, a block of gated_mlp's vjp. It
+# bounds the scores, taps and vjp transients held at once. Fuller blocks pay the
+# per-primitive overhead less often: in a timing of 128, 512, 1024 and 2048-token
+# no-grad chunks on the benchmark's eval and teacher texts, 512 was fastest.
+MAX_FORWARD_TOKENS = 512
 
 
 class ShapeError(ValueError):
@@ -187,6 +195,22 @@ def _runs(segments: Sequence[int] | None, rows: int) -> list[tuple[int, int, int
     return runs
 
 
+def _blocks(segments: Sequence[int] | None, rows: int) -> list[list]:
+    """[first row, end row, runs from the first row] of consecutive blocks of
+    whole segments, at most MAX_FORWARD_TOKENS rows or one segment each: runs
+    split into sub-runs within the budget, which a block takes while they fit."""
+    blocks: list[list] = []
+    for r0, n, t in _runs(segments, rows):
+        per = max(1, MAX_FORWARD_TOKENS // t)
+        for s in range(0, n, per):
+            m = min(per, n - s)
+            if not blocks or blocks[-1][1] - blocks[-1][0] + m * t > MAX_FORWARD_TOKENS:
+                blocks.append([r0 + s * t, r0 + s * t, []])
+            blocks[-1][2].append((blocks[-1][1] - blocks[-1][0], m, t))
+            blocks[-1][1] += m * t
+    return blocks
+
+
 def _sum_slices(parts: np.ndarray) -> np.ndarray:
     """parts[0] + parts[1] + ... added slice by slice from zero, as backward adds
     the gradients of separate per-sequence graphs. np.add.reduce does that, but
@@ -207,18 +231,18 @@ def _matmul_rows(av: np.ndarray, bv: np.ndarray, segments: Sequence[int] | None)
     return out
 
 
-def _matmul_grad_a(g: np.ndarray, bv: np.ndarray, runs) -> np.ndarray:
-    """a's gradient of av @ bv: g @ bv.T per run of equal-length segments."""
-    ga = np.empty((g.shape[0], bv.shape[0]), dtype=np.result_type(g, bv))
+def _matmul_grad_a(g: np.ndarray, bv: np.ndarray, runs, out: np.ndarray | None = None) -> np.ndarray:
+    """a's gradient of av @ bv: g @ bv.T per run of equal-length segments, into out if given."""
+    ga = np.empty((g.shape[0], bv.shape[0]), dtype=np.result_type(g, bv)) if out is None else out
     for r0, n, t in runs:
         r1 = r0 + n * t
         np.matmul(g[r0:r1].reshape(n, t, -1), bv.T, out=ga[r0:r1].reshape(n, t, -1))
     return ga
 
 
-def _matmul_grad_b(av: np.ndarray, g: np.ndarray, runs) -> np.ndarray:
-    """b's gradient of av @ bv: per-segment av.T @ g, added in segment order."""
-    gb = 0.0
+def _matmul_grad_b(av: np.ndarray, g: np.ndarray, runs, gb=0.0) -> np.ndarray:
+    """b's gradient of av @ bv: per-segment av.T @ g, added in segment order
+    after gb, the sum of the segments before them."""
     parts = np.empty((1 + max(n for _, n, _ in runs), av.shape[1], g.shape[1]), dtype=np.result_type(av, g))
     for r0, n, t in runs:
         r1 = r0 + n * t
@@ -309,18 +333,26 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(n * t, heads * hd)
 
 
-def _length_groups(lengths: Sequence[int] | None) -> list[tuple[int, slice | np.ndarray, slice | np.ndarray]]:
-    """(number of sequences, their rows, their indices) per distinct length, in order."""
-    if lengths is None or len(set(lengths)) == 1:
-        return [(1 if lengths is None else len(lengths), slice(None), slice(None))]
+def _length_blocks(lengths: Sequence[int]) -> list[tuple[int, slice | np.ndarray, slice | np.ndarray]]:
+    """(number of sequences, their rows, their indices) per block of sequences of
+    one length, lengths in order of first appearance, each length's sequences in
+    order and in blocks of at most MAX_FORWARD_TOKENS rows or one sequence.
+    Consecutive sequences are selected by slices, others by index arrays."""
+    if len(set(lengths)) == 1 and sum(lengths) <= MAX_FORWARD_TOKENS:  # one block, as every no-grad chunk
+        return [(len(lengths), slice(None), slice(None))]
     by_len: dict[int, list[int]] = {}
     for s, t in enumerate(lengths):
         by_len.setdefault(t, []).append(s)
     starts = np.cumsum([0, *lengths])
-    return [
-        (len(seqs), np.concatenate([np.arange(starts[s], starts[s + 1]) for s in seqs]), np.array(seqs))
-        for seqs in by_len.values()
-    ]
+    blocks = []
+    for t, seqs in by_len.items():
+        per = max(1, MAX_FORWARD_TOKENS // t)
+        for b in (seqs[i : i + per] for i in range(0, len(seqs), per)):
+            if b[-1] - b[0] == len(b) - 1:
+                blocks.append((len(b), slice(starts[b[0]], starts[b[-1] + 1]), slice(b[0], b[-1] + 1)))
+            else:
+                blocks.append((len(b), np.concatenate([np.arange(starts[s], starts[s + 1]) for s in b]), np.array(b)))
+    return blocks
 
 
 def _attend(qa: np.ndarray, ka: np.ndarray, va: np.ndarray, n: int, hd: int, n_kv: int, group: int):
@@ -403,7 +435,9 @@ def causal_attention(
     q @ k^T as given (scale q beforehand), softmax over positions <= t within the
     sequence.
 
-    Sequences of equal length are attended together. Every matmul takes
+    Sequences of equal length are attended together, in blocks of at most
+    MAX_FORWARD_TOKENS rows, so the vjp's scores-sized transients stay within
+    one block's. Every matmul takes
     contiguous (T, head_dim) and (head_dim, T) operands, or their transposed views
     in the vjp, exactly as a per-head loop of 2-D matmuls over each sequence
     alone would, so the result rounds the same as that loop. Last queries of the
@@ -425,7 +459,7 @@ def causal_attention(
     group = qa.shape[1] // (n_kv * hd)
     out = np.empty_like(qa)
     parts = []
-    for n, kv_sel, seq_sel in _length_groups(lengths):
+    for n, kv_sel, seq_sel in _length_blocks([rows] if lengths is None else lengths):
         q_sel = seq_sel if last_query else kv_sel
         out[q_sel], part_vjp = _attend(qa[q_sel], ka[kv_sel], va[kv_sel], n, hd, n_kv, group)
         parts.append((q_sel, kv_sel, part_vjp))
@@ -524,9 +558,11 @@ def gated_mlp(
     times 0 is NaN), so this covers every value the chain checked.
 
     The vjp keeps x, gate and up, and rebuilds silu's sigmoid and output and the
-    activation with the forward's ops. It holds at most three rows x MLP arrays
-    of its own at once; x's gradient is the gate part plus the up part, the sum
-    backward would form from the two matmuls' parts."""
+    activation with the forward's ops. It runs in _blocks of whole segments and
+    holds at most three block rows x MLP arrays of its own at once. Each weight's
+    gradient adds its per-segment parts in segment order across the blocks, and
+    x's gradient rows are the gate part plus the up part, the sum backward would
+    form from the two matmuls' parts."""
     xv, wg, wu, wd = x.values, w_gate.values, w_up.values, w_down.values
     _shape_check(
         "gated_mlp",
@@ -544,26 +580,32 @@ def gated_mlp(
         acts.append(act)
 
     def vjp(g):
-        runs = _runs(segments, xv.shape[0])
-        sig = _sigmoid(gate)
-        s = gate * sig
-        act = s * up
-        g_wd = _matmul_grad_b(act, g, runs)
-        del act
-        g_act = _matmul_grad_a(g, wd, runs)
-        g_up = np.multiply(g_act, s, out=s)  # mul's vjp: g * s for up, g * up for s
-        g_act *= up
-        g_act *= sig  # silu's vjp, in place as silu's: ((1 - sig) * gate + 1) * (g * sig)
-        g_gate = np.subtract(1.0, sig, out=sig)
-        g_gate *= gate
-        g_gate += 1.0
-        g_gate *= g_act
-        del g_act
-        gx = _matmul_grad_a(g_gate, wg, runs)
-        g_wg = _matmul_grad_b(xv, g_gate, runs)
-        del g_gate
-        gx += _matmul_grad_a(g_up, wu, runs)
-        return gx, g_wg, _matmul_grad_b(xv, g_up, runs), g_wd
+        gx, g_wg, g_wu, g_wd = None, 0.0, 0.0, 0.0
+        for b0, b1, runs in _blocks(segments, xv.shape[0]):
+            x_b, gate_b, up_b, g_b = xv[b0:b1], gate[b0:b1], up[b0:b1], g[b0:b1]
+            sig = _sigmoid(gate_b)
+            s = gate_b * sig
+            act = s * up_b
+            g_wd = _matmul_grad_b(act, g_b, runs, g_wd)
+            del act
+            g_act = _matmul_grad_a(g_b, wd, runs)
+            g_up = np.multiply(g_act, s, out=s)  # mul's vjp: g * s for up, g * up for s
+            g_act *= up_b
+            g_act *= sig  # silu's vjp, in place as silu's: ((1 - sig) * gate + 1) * (g * sig)
+            g_gate = np.subtract(1.0, sig, out=sig)
+            g_gate *= gate_b
+            g_gate += 1.0
+            g_gate *= g_act
+            del g_act, s, sig  # g_up and g_gate hold their buffers
+            if gx is None:
+                gx = np.empty((xv.shape[0], wg.shape[0]), dtype=np.result_type(g_gate, wg))
+            _matmul_grad_a(g_gate, wg, runs, out=gx[b0:b1])
+            g_wg = _matmul_grad_b(x_b, g_gate, runs, g_wg)
+            del g_gate
+            gx[b0:b1] += _matmul_grad_a(g_up, wu, runs)
+            g_wu = _matmul_grad_b(x_b, g_up, runs, g_wu)
+            del g_up
+        return gx, g_wg, g_wu, g_wd
 
     return _make("gated_mlp", _matmul_rows(act, wd, segments), (x, w_gate, w_up, w_down), vjp)
 

@@ -237,16 +237,9 @@ def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder |
     return _forward(model, [tokens], taps)
 
 
-# Most tokens one no-grad forward stacks; it bounds the scores and taps held at
-# once. Fuller forwards pay the per-primitive overhead less often: in a timing of
-# 128, 512, 1024 and 2048 tokens on the benchmark's eval and teacher texts, 512
-# was fastest.
-MAX_FORWARD_TOKENS = 512
-
-
 def length_chunks(token_seqs: list[list[int]]) -> list[list[int]]:
     """Indices of token_seqs split into forward chunks of equal token length (input
-    order within a length), each at most MAX_FORWARD_TOKENS tokens or one sequence.
+    order within a length), each at most ad.MAX_FORWARD_TOKENS tokens or one sequence.
 
     Equal lengths need no padding, so no pad position can reach a result. Every
     row rounds as in a forward of its sequence alone for the configs the tests
@@ -259,7 +252,7 @@ def length_chunks(token_seqs: list[list[int]]) -> list[list[int]]:
     for t, idx in sorted(by_len.items()):
         # numpy sends a one-row matmul to BLAS gemv, which rounds unlike gemm,
         # so one-token sequences go one at a time.
-        per = 1 if t == 1 else max(1, MAX_FORWARD_TOKENS // t)
+        per = 1 if t == 1 else max(1, ad.MAX_FORWARD_TOKENS // t)
         chunks += [idx[s : s + per] for s in range(0, len(idx), per)]
     return chunks
 

@@ -231,38 +231,55 @@ def _batch_texts(batch: Batch) -> tuple[list[str], list[str], list[list[str]]]:
     return queries, positives, negatives
 
 
+def _packed_texts(batch: Batch) -> list[str]:
+    """A step's texts in packed order: queries, positives, then each sample's negatives."""
+    queries, positives, negatives = _batch_texts(batch)
+    return queries + positives + [n for negs in negatives for n in negs]
+
+
+def _teacher_targets(teacher: EmbeddingModel, data: list[Batch], start_step: int = 0) -> dict[str, np.ndarray]:
+    """Unit teacher embedding of every text of data, made before the first step,
+    while no student graph is alive: one raw_embeddings call per batch in step
+    order over its texts not embedded yet. A NonFiniteError names that step."""
+    targets: dict[str, np.ndarray] = {}
+    max_len = teacher.config.max_seq_len
+    for step, batch in enumerate(data, start_step + 1):
+        missing = [t for t in dict.fromkeys(_packed_texts(batch)) if t not in targets]
+        try:
+            rows = raw_embeddings(teacher, [tokenize(t, max_len) for t in missing])
+        except NonFiniteError as e:
+            raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
+        for text, raw in zip(missing, rows):
+            targets[text] = raw / np.linalg.norm(raw)
+    return targets
+
+
 def _train_step(
     model: EmbeddingModel,
     batch: Batch,
     plan: StagePlan,
     opt: OptimizerState,
     step: int,
-    teacher: EmbeddingModel | None,
     token_cache: dict[str, list[int]],
-    teacher_cache: dict[str, np.ndarray],
+    targets: dict[str, np.ndarray] | None,
 ) -> StepMetrics:
-    """One batch: forward, loss, backward and an AdamW update. The step's graph
-    is dropped on return, before the next batch builds its own."""
+    """One batch: forward, loss, backward and an AdamW update, distilling from
+    targets (_teacher_targets, holding every text of the batch) unless None. The
+    step's graph is dropped on return, before the next batch builds its own."""
     try:
-        queries, positives, negatives = _batch_texts(batch)
-        all_texts = queries + positives + [n for negs in negatives for n in negs]
+        all_texts = _packed_texts(batch)
         for text in all_texts:
             if text not in token_cache:
                 token_cache[text] = tokenize(text, model.config.max_seq_len)
-        # One packed forward of every text: queries, positives, then each sample's negatives.
         eos = raw_sequence_embeddings(model, [token_cache[t] for t in all_texts])
-        neg_counts = [len(negs) for negs in negatives]
+        neg_counts = [len(s.negatives) for s in batch.samples]
         contrastive = matryoshka_info_nce(
-            eos, len(queries), neg_counts, plan.loss, use_in_batch=batch.uses_in_batch_negatives
+            eos, len(batch.samples), neg_counts, plan.loss, use_in_batch=batch.uses_in_batch_negatives
         )
-        if teacher is not None:
-            missing = [t for t in dict.fromkeys(all_texts) if t not in teacher_cache]
-            max_len = teacher.config.max_seq_len
-            for text, raw in zip(missing, raw_embeddings(teacher, [tokenize(t, max_len) for t in missing])):
-                teacher_cache[text] = raw / np.linalg.norm(raw)
+        if targets is not None:
             # A normalize of its own, not the full dim's: the gradients then add in
             # the same order as when the two were separate graphs.
-            dloss = distill_loss(ad.l2_normalize_rows(eos), np.stack([teacher_cache[t] for t in all_texts]))
+            dloss = distill_loss(ad.l2_normalize_rows(eos), np.stack([targets[t] for t in all_texts]))
             total = ad.add(contrastive, ad.scale(dloss, plan.loss.distill_weight))
             dval = float(dloss.values)
         else:
@@ -287,10 +304,11 @@ def train_stage(
 ) -> tuple[EmbeddingModel, list[StepMetrics]]:
     """Run one training stage over pre-built batches.
 
-    Per batch: embed every text with the student (and the teacher, without
-    gradients, when distilling), apply the matryoshka InfoNCE with in-batch
-    negatives only for retrieval batches, add the weighted distillation MSE,
-    backprop, and take one AdamW step. Deterministic given identical inputs.
+    When distilling, the teacher first embeds every distinct text without
+    gradients (_teacher_targets). Then per batch: embed every text with the
+    student, apply the matryoshka InfoNCE with in-batch negatives only for
+    retrieval batches, add the weighted distillation MSE, backprop, and take one
+    AdamW step. Deterministic given identical inputs.
     """
     if (teacher is None) != (plan.teacher is None):
         raise ValueError("teacher model must be given exactly when plan.teacher is set")
@@ -300,16 +318,17 @@ def train_stage(
         raise ValueError(
             f"teacher hidden size {teacher.config.hidden_size} smaller than student's {model.config.hidden_size}"
         )
-    distill_from = teacher if plan.loss.distill_weight > 0 else None
+    targets = None
+    if teacher is not None and plan.loss.distill_weight > 0:
+        targets = _teacher_targets(teacher, data, start_step)
     opt = OptimizerState.for_params(model.parameters())
     metrics: list[StepMetrics] = []
     token_cache: dict[str, list[int]] = {}
-    teacher_cache: dict[str, np.ndarray] = {}
     step = start_step
     for _ in range(plan.epochs):
         for batch in data:
             step += 1
-            metrics.append(_train_step(model, batch, plan, opt, step, distill_from, token_cache, teacher_cache))
+            metrics.append(_train_step(model, batch, plan, opt, step, token_cache, targets))
     if metrics_path is not None:
         write_metrics_csv(metrics_path, metrics)
     if checkpoint_dir is not None:

@@ -1,5 +1,6 @@
 """Forward/backward unit tests and finite-difference checks for every primitive."""
 
+import tracemalloc
 import weakref
 import zlib
 
@@ -897,6 +898,57 @@ def test_gated_mlp_names_itself_when_a_value_the_chain_checked_overflows():
         for fn, name in ((ad.gated_mlp, "gated_mlp"), (unfused_gated_mlp, "matmul|mul")):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFiniteError, match=name):
                 fn(*(Tensor(one * v, requires_grad=True) for v in (x, wg, wu, wd)))
+
+
+# --- the gated_mlp and attention vjps in blocks of whole sequences -------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vjps_in_blocks_bitwise_equal_one_block(dtype, monkeypatch):
+    # A 7-row budget splits the run of four 3-row segments, and the 3-row
+    # segment after them, across blocks; the one-token segment shares a block;
+    # the 9-row segment is a block of its own; the two 2-row sequences, not
+    # adjacent, attend in one block.
+    seg = [3, 3, 3, 3, 1, 5, 2, 5, 3, 9, 2]
+    rows, rng = sum(seg), np.random.default_rng(41)
+    mlp = [rng.standard_normal(s).astype(dtype) for s in ((rows, 8), (8, 12), (8, 12), (12, 8), (rows, 8))]
+    every = [rng.standard_normal(s).astype(dtype) for s in ((rows, 16), (rows, 8), (rows, 8), (rows, 16))]
+    last = [rng.standard_normal((len(seg), 16)).astype(dtype) for _ in range(2)]  # last queries, their gradient
+    results = []
+    for budget in (10**9, 7):
+        monkeypatch.setattr(ad, "MAX_FORWARD_TOKENS", budget)
+        out = ad.gated_mlp(*(Tensor(a, requires_grad=True) for a in mlp[:4]), segments=seg)
+        got = [out.values, *out._node.vjp(mlp[4])]
+        for q, g, last_query in ((every[0], every[3], False), (last[0], last[1], True)):
+            kv = (Tensor(a, requires_grad=True) for a in every[1:3])
+            att = ad.causal_attention(Tensor(q, requires_grad=True), *kv, 4, lengths=seg, last_query=last_query)
+            got += [att.values, *att._node.vjp(g)]
+        results.append(got)
+    assert [b[:2] for b in ad._blocks(seg, rows)] == [[0, 6], [6, 13], [13, 20], [20, 25], [25, 28], [28, 37], [37, 39]]
+    assert [n for n, _, _ in ad._length_blocks(seg)] == [2, 2, 1, 1, 1, 1, 2, 1]
+    for i, (one, blocked) in enumerate(zip(*results)):
+        assert blocked.dtype == dtype
+        np.testing.assert_array_equal(blocked, one, err_msg=f"result {i}")
+
+
+def test_gated_mlp_vjp_transient_stays_within_a_block():
+    # 2,048 rows of 32-row segments are four 512-row blocks. Beside the
+    # gradients it returns, the vjp holds at most three block rows x MLP arrays
+    # and a weight gradient's stack at once; over the whole input it held three
+    # rows x MLP arrays, 3.1 MB here.
+    rows, hidden, width = 2048, 16, 64
+    rng = np.random.default_rng(42)
+    shapes = ((rows, hidden), (hidden, width), (hidden, width), (width, hidden), (rows, hidden))
+    x, wg, wu, wd, g = (rng.standard_normal(s) for s in shapes)
+    out = ad.gated_mlp(*(Tensor(a, requires_grad=True) for a in (x, wg, wu, wd)), segments=[32] * (rows // 32))
+    tracemalloc.start()
+    try:
+        grads = out._node.vjp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in grads)
+    assert peak - returned < 4 * ad.MAX_FORWARD_TOKENS * width * x.itemsize
 
 
 def test_backward_rejects_a_gradient_shaped_unlike_its_input():

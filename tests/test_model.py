@@ -168,7 +168,7 @@ def mixed_length_texts(seed=0):
     rng = np.random.default_rng(seed)
     word = lambda n: "".join(chr(97 + int(c)) for c in rng.integers(0, 26, size=n))
     texts = [word(int(n)) for n in rng.integers(0, 95, size=30)]
-    texts += [word(40) for _ in range(tm.MAX_FORWARD_TOKENS // 41 + 2)]
+    texts += [word(40) for _ in range(ad.MAX_FORWARD_TOKENS // 41 + 2)]
     texts += ["", "", texts[3], "x"]
     rng.shuffle(texts)
     return texts
@@ -182,7 +182,7 @@ def test_length_chunks_cover_every_index_once_under_the_token_cap():
     for c in chunks:
         t = len(seqs[c[0]])
         assert all(len(seqs[i]) == t for i in c) and c == sorted(c)
-        assert len(c) == 1 or len(c) * t <= tm.MAX_FORWARD_TOKENS
+        assert len(c) == 1 or len(c) * t <= ad.MAX_FORWARD_TOKENS
         assert t > 1 or len(c) == 1
         split |= t == 41 and len(c) < sum(len(s) == 41 for s in seqs)
     assert split
@@ -196,7 +196,7 @@ def test_length_chunks_fill_each_forward_to_the_token_cap():
     for c in tm.length_chunks(seqs):
         t = len(seqs[c[0]])
         if t in last:
-            assert len(last[t]) == (1 if t == 1 else tm.MAX_FORWARD_TOKENS // t), t
+            assert len(last[t]) == (1 if t == 1 else ad.MAX_FORWARD_TOKENS // t), t
         last[t] = c
     assert sorted(last) == [1, 12, 16, 33, 78]
 

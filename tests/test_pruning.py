@@ -104,7 +104,8 @@ def one_sequence_at_a_time_norms(model, calibration):
 
 
 def test_norms_bitwise_equal_one_sequence_at_a_time_on_mixed_lengths():
-    from tinyembed.model import MAX_FORWARD_TOKENS, length_chunks
+    from tinyembed.autodiff import MAX_FORWARD_TOKENS
+    from tinyembed.model import length_chunks
 
     model = init_model(CFG, seed=7)
     rng = np.random.default_rng(8)

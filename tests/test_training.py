@@ -484,6 +484,32 @@ def test_teacher_non_finite_names_the_step_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == start
 
 
+def test_the_teacher_embeds_each_text_once_before_the_first_student_forward(monkeypatch):
+    calls = []
+
+    def spy(name):
+        fn = getattr(tt, name)
+
+        def embed(model, seqs):
+            calls.append((name, [tuple(s) for s in seqs]))
+            return fn(model, seqs)
+
+        monkeypatch.setattr(tt, name, embed)
+
+    spy("raw_embeddings")
+    spy("raw_sequence_embeddings")
+    # Texts repeat within a batch, across batches and across the two epochs.
+    data = [Batch([rsample(query="q0", positive="d"), rsample(query="q1", positive="d")]),
+            Batch([rsample(query="q1", positive="d1"), rsample(query="q2", positive="d")])]
+    teacher = init_model(STUDENT_CFG, seed=9)
+    tt.train_stage(init_model(STUDENT_CFG, seed=3), data, make_plan(teacher="ckpt", epochs=2), teacher=teacher)
+    names = [name for name, _ in calls]
+    assert names == ["raw_embeddings"] * 2 + ["raw_sequence_embeddings"] * 4
+    embedded = [seq for _, seqs in calls[:2] for seq in seqs]
+    texts = ["q0", "q1", "d", "q2", "d1"]
+    assert embedded == [tuple(tokenize(t, teacher.config.max_seq_len)) for t in texts]
+
+
 def test_metrics_csv_format(tmp_path):
     data = [Batch([rsample(query=f"q{i}") for i in range(2)])]
     model = init_model(STUDENT_CFG, seed=0)
@@ -555,10 +581,11 @@ def _run_both(batch, dtype, with_teacher, steps=3):
     teacher = init_model(PACKED_TEACHER_CFG, seed=4).astype(dtype) if with_teacher else None
     packed, ref = (init_model(PACKED_CFG, seed=2).astype(dtype) for _ in range(2))
     packed_opt, ref_opt = (OptimizerState.for_params(m.parameters()) for m in (packed, ref))
-    caches = [({}, {}), ({}, {})]
+    targets = tt._teacher_targets(teacher, [batch]) if with_teacher else None
+    token_cache, ref_caches = {}, ({}, {})
     for step in range(1, steps + 1):
-        tt._train_step(packed, batch, plan, packed_opt, step, teacher, *caches[0])
-        _per_text_step(ref, batch, plan, ref_opt, teacher, *caches[1])
+        tt._train_step(packed, batch, plan, packed_opt, step, token_cache, targets)
+        _per_text_step(ref, batch, plan, ref_opt, teacher, *ref_caches)
         yield step, packed, ref
 
 
@@ -607,7 +634,9 @@ def _step_graph(dtype, with_teacher):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "backward", losses.append)
         mp.setattr(tt, "adamw_step", lambda *args: None)
-        tt._train_step(model, _mixed_batch(CLUSTERING, seed=3), plan, None, 1, teacher, {}, {})
+        batch = _mixed_batch(CLUSTERING, seed=3)
+        targets = tt._teacher_targets(teacher, [batch]) if with_teacher else None
+        tt._train_step(model, batch, plan, None, 1, {}, targets)
     return losses[0], list(model.parameters().values())
 
 

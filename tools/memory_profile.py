@@ -6,11 +6,14 @@ Run it from the root of a checkout: it imports the program from ``src/`` and the
 workloads from ``perfbench/``, sets the workload up once, runs one untraced
 warm-up cycle, then traces one cycle with one BLAS thread. It prints:
 
+- the traced peak MB of each stage's teacher pre-pass
+  (``training._teacher_targets``), as its own row before the step it precedes;
 - per train step, the traced peak MB before ``backward`` (from the previous
-  step's ``backward``, or the subcommand's start, through this step's forward
-  and loss), the MB of arrays the graph's vjp closures hold when ``backward``
-  starts (distinct buffers, leaf values such as parameters left out), the
-  traced MB live then, the peak MB inside ``backward`` and the MB live after it;
+  step's ``backward``, the teacher pre-pass or the subcommand's start, through
+  this step's forward and loss), the MB of arrays the graph's vjp closures
+  hold when ``backward`` starts (distinct buffers, leaf values such as
+  parameters left out), the traced MB live then, the peak MB inside
+  ``backward`` and the MB live after it;
 - per op and train step, the MB of those closures, each buffer counted once,
   for the first node in graph order whose vjp holds it;
 - the five vjp calls with the largest transients (peak inside the call over
@@ -19,11 +22,12 @@ warm-up cycle, then traces one cycle with one BLAS thread. It prints:
 - the process's peak resident set (``ru_maxrss``), which covers set-up and the
   untraced warm-up too.
 
-``autodiff.backward``, ``autodiff._make`` (which wraps each recorded vjp) and
-the subcommand runner are wrapped from outside, so nothing under ``src/``
-changes. ``tracemalloc`` counts numpy's array buffers and Python objects, not
-the allocator's free lists or BLAS's own buffers, so its figures sit below the
-resident set. Tracing slows the cycle several-fold.
+``autodiff.backward``, ``autodiff._make`` (which wraps each recorded vjp),
+``training._teacher_targets`` and the subcommand runner are wrapped from
+outside, so nothing under ``src/`` changes. ``tracemalloc`` counts numpy's
+array buffers and Python objects, not the allocator's free lists or BLAS's own
+buffers, so its figures sit below the resident set. Tracing slows the cycle
+several-fold.
 """
 
 import os
@@ -48,6 +52,7 @@ import numpy as np  # noqa: E402
 
 import tinyembed.autodiff as ad  # noqa: E402
 import tinyembed.cli as cli  # noqa: E402
+import tinyembed.training as tt  # noqa: E402
 from run import Runner  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -104,6 +109,7 @@ class MemoryProfile:
         self.held: list[Counter] = []  # per step, vjp closures' bytes by op
         self.vjps: list[tuple[int, str, tuple, int, int]] = []  # transient, op, output shape, step, peak
         self.commands: list[tuple[str, int]] = []
+        self.teacher: dict[int, int] = {}  # the step a teacher pre-pass precedes: its peak
 
     def _fold(self):
         peak = tracemalloc.get_traced_memory()[1]
@@ -124,7 +130,7 @@ class MemoryProfile:
             self._open.pop()  # windows nest
 
     def install(self, runner: Runner):
-        make, backward = ad._make, ad.backward
+        make, backward, teacher_targets = ad._make, ad.backward, tt._teacher_targets
 
         def traced_make(op, values, parents, vjp):
             shape = values.shape
@@ -150,6 +156,14 @@ class MemoryProfile:
             self.held.append(held)
             return graph
 
+        def traced_teacher_targets(*args, **kwargs):
+            if not self.on:
+                return teacher_targets(*args, **kwargs)
+            with self.window() as (peak, _):
+                targets = teacher_targets(*args, **kwargs)
+            self.teacher[len(self.steps) + 1] = peak[0]
+            return targets
+
         def traced_run(argv):
             if not self.on:
                 return runner(argv)
@@ -158,7 +172,7 @@ class MemoryProfile:
             self.commands.append((argv[0], peak[0]))
             return op
 
-        ad._make, ad.backward = traced_make, traced_backward
+        ad._make, ad.backward, tt._teacher_targets = traced_make, traced_backward, traced_teacher_targets
         return traced_run
 
     def report(self) -> str:
@@ -167,6 +181,8 @@ class MemoryProfile:
             lines.append(f"{'step':>4}{'peak before backward MB':>25}{'vjp closures MB':>17}{'live at backward MB':>21}"
                          f"{'peak in backward MB':>21}{'live after MB':>15}  peak in")
             for i, (before, held, live, peak, after) in enumerate(self.steps, 1):
+                if i in self.teacher:
+                    lines.append(f"{'pre':>4}{self.teacher[i] / MB:>25.2f}  teacher pre-pass before step {i}")
                 at = max((v for v in self.vjps if v[3] == i), key=lambda v: v[4], default=None)
                 where = f"{at[1]} vjp, output {at[2]}" if at is not None and at[4] == peak else "backward, between vjps"
                 lines.append(f"{i:>4}{before / MB:>25.2f}{held / MB:>17.2f}{live / MB:>21.2f}"
