@@ -18,12 +18,10 @@ from .data import (
     mine_hard_negatives,
     stats_report,
 )
-from .evaluation import EvalTask, ablation_distill, evaluate, mrl_sweep, ndcg_at_k, pair_accuracy, spearman
+from .evaluation import EvalTask, ablation_distill, evaluate, mrl_sweep, ndcg_at_k, spearman
 from .model import (
     EmbeddingModel,
     ModelConfig,
-    embed_sequence,
-    embed_text,
     embed_texts,
     forward_hidden,
     init_model,
@@ -32,7 +30,7 @@ from .model import (
     save_checkpoint,
 )
 from .pruning import ChannelNorms, PruneSpec, collect_activation_norms, prune_model, sliced_forward_oracle
-from .tokenizer import EOS_ID, PAD_ID, VOCAB_SIZE, detokenize, tokenize
+from .tokenizer import EOS_ID, PAD_ID, VOCAB_SIZE, tokenize
 from .training import (
     LossConfig,
     OptimizerState,

@@ -15,9 +15,9 @@ nodes, not tensors, so a value that no vjp captured dies with its tensor during
 the forward. `backward` consumes the graph: it frees each non-leaf gradient,
 and each vjp with the arrays it captured, once the vjp has run. A vjp keeps only
 what it cannot cheaply rebuild: attention's head-layout operands, rope's table
-rows, silu's sigmoid, and gated_mlp's sigmoid, silu output and activation are
-made again when it runs, with the forward's ops. The gated_mlp and attention
-vjps run in blocks of whole sequences, so their transients are a block's.
+rows, and gated_mlp's sigmoid, silu output and activation are made again when
+it runs, with the forward's ops. The gated_mlp and attention vjps run in
+blocks of whole sequences, so their transients are a block's.
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.values.dtype
-
-    def item(self) -> float:
-        return float(self.values)
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
@@ -275,16 +272,6 @@ def matmul(a: Tensor, b: Tensor, segments: Sequence[int] | None = None) -> Tenso
     return _make("matmul", _matmul_rows(av, bv, segments), (a, b), vjp)
 
 
-@_primitive("transpose", "2-D transpose")
-def transpose(a: Tensor) -> Tensor:
-    _shape_check("transpose", a.values.ndim == 2, a.shape)
-
-    def vjp(g):
-        return (g.T.copy(),)
-
-    return _make("transpose", a.values.T.copy(), (a,), vjp)
-
-
 @_primitive("add", "elementwise sum of same-shaped tensors")
 def add(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("add", a.shape == b.shape, a.shape, b.shape)
@@ -293,17 +280,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, g
 
     return _make("add", a.values + b.values, (a, b), vjp)
-
-
-@_primitive("mul", "elementwise product of same-shaped tensors")
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _shape_check("mul", a.shape == b.shape, a.shape, b.shape)
-    av, bv = a.values, b.values
-
-    def vjp(g):
-        return g * bv, g * av
-
-    return _make("mul", av * bv, (a, b), vjp)
 
 
 @_primitive("scale", "multiply by a python scalar")
@@ -529,23 +505,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, sig, out=sig)
 
 
-@_primitive("silu", "x * sigmoid(x)")
-def silu(a: Tensor) -> Tensor:
-    """The vjp recomputes the sigmoid rather than keep it (its own `sig`)."""
-    av = a.values
-    sig = _sigmoid(av)
-
-    def vjp(g):
-        sig = _sigmoid(av)
-        gx = np.subtract(1.0, sig)  # g * sig * (1.0 + av * (1.0 - sig)), in place
-        gx *= av
-        gx += 1.0
-        gx *= g * sig
-        return (gx,)
-
-    return _make("silu", av * sig, (a,), vjp)
-
-
 @_primitive("gated_mlp", "silu(x @ w_gate) * (x @ w_up) @ w_down, optionally over row segments")
 def gated_mlp(
     x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor, segments: Sequence[int] | None = None,
@@ -662,65 +621,6 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _make("slice_cols", av[:, start:stop].copy(), (a,), vjp)
 
 
-@_primitive("concat", "concatenate along rows (axis 0) or columns (axis 1)")
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ValueError("concat: empty input list")
-    if axis not in (0, 1):
-        raise ValueError(f"concat: axis must be 0 or 1, got {axis}")
-    vals = [p.values for p in parts]
-    other = 1 - axis
-    _shape_check(
-        "concat",
-        all(v.ndim == 2 and v.shape[other] == vals[0].shape[other] for v in vals),
-        *[v.shape for v in vals],
-    )
-    out = np.concatenate(vals, axis=axis)
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):  # reads no input tensor, so it pins none of their values
-        if axis == 0:
-            return tuple(g[offsets[i] : offsets[i + 1]].copy() for i in range(len(sizes)))
-        return tuple(g[:, offsets[i] : offsets[i + 1]].copy() for i in range(len(sizes)))
-
-    return _make("concat", out, tuple(parts), vjp)
-
-
-@_primitive("reshape", "view the same values under a new shape")
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    av = a.values
-    if int(np.prod(shape)) != av.size:
-        raise ShapeError(f"reshape: cannot view {av.shape} as {tuple(shape)}")
-    old = av.shape
-
-    def vjp(g):
-        return (g.reshape(old),)
-
-    return _make("reshape", av.reshape(shape), (a,), vjp)
-
-
-@_primitive("mean_all", "mean over all elements (scalar output)")
-def mean_all(a: Tensor) -> Tensor:
-    av = a.values
-    n = av.size
-
-    def vjp(g):
-        return (np.full_like(av, g / n),)
-
-    return _make("mean_all", np.asarray(av.mean(), dtype=av.dtype), (a,), vjp)
-
-
-@_primitive("sum_all", "sum over all elements (scalar output)")
-def sum_all(a: Tensor) -> Tensor:
-    av = a.values
-
-    def vjp(g):
-        return (np.full_like(av, g),)
-
-    return _make("sum_all", np.asarray(av.sum(), dtype=av.dtype), (a,), vjp)
-
-
 @_primitive("l2_normalize_rows", "scale each row to unit Euclidean norm")
 def l2_normalize_rows(a: Tensor) -> Tensor:
     av = a.values
@@ -749,30 +649,11 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     return _make("mse", np.asarray((diff * diff).mean(), dtype=diff.dtype), (a, b), vjp)
 
 
-@_primitive("cross_entropy", "mean of -log softmax(logits)[target] over rows (scalar output)")
-def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
-    lv = logits.values
-    _shape_check("cross_entropy", lv.ndim == 2, lv.shape)
-    t = np.asarray(targets, dtype=np.intp)
-    _shape_check("cross_entropy", t.shape == (lv.shape[0],), lv.shape, t.shape)
-    if t.size and (t.min() < 0 or t.max() >= lv.shape[1]):
-        raise IndexError(f"cross_entropy: target out of range for {lv.shape[1]} classes")
-    nll, p = _nll_softmax(lv, t)
-    return _make("cross_entropy", np.asarray(nll.mean(), dtype=lv.dtype), (logits,), lambda g: (_nll_grad(p, t, g),))
-
-
 def _nll_softmax(lv: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row -log softmax(lv)[t], and the softmax."""
     m = lv.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(lv - m).sum(axis=1, keepdims=True))
     return lse[:, 0] - lv[np.arange(lv.shape[0]), t], np.exp(lv - lse)
-
-
-def _nll_grad(p: np.ndarray, t: np.ndarray, g) -> np.ndarray:
-    """Logit gradient of g times the mean over rows of the -log softmax."""
-    gl = p.copy()
-    gl[np.arange(p.shape[0]), t] -= 1.0
-    return gl * (g / p.shape[0])
 
 
 @_primitive("info_nce", "mean over queries of cross_entropy(inv_t * q_i @ candidates_i^T) (scalar output)")

@@ -43,6 +43,8 @@ _FIELD_KINDS: dict[str, Callable[[object], bool]] = {
     "a list of numbers": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
     "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
     "a list of objects": lambda v: type(v) is list and all(type(x) is dict for x in v),
+    "an object of string lists": lambda v: type(v) is dict
+    and all(type(x) is list and all(type(t) is str for t in x) for x in v.values()),
     "a list of string pairs": lambda v: type(v) is list
     and all(type(x) is list and len(x) == 2 and all(type(t) is str for t in x) for x in v),
 }
@@ -139,10 +141,24 @@ class Batch:
 # ---------------------------------------------------------------------------
 
 
+# The kind of every raw field a schema reads; fields no schema reads are allowed.
+# The optional ones may be absent.
+_OPTIONAL_FIELDS = ("negs", "symmetric")
+_RAW_FIELDS = {
+    "query": "a string", "pos": "a string", "negs": "a list of strings", "symmetric": "a boolean",
+    "text": "a string", "label": "a string", "labels": "a list of strings", "class": "a string",
+    "anchor": "a string", "classes": "an object of string lists", "source": "a string", "task_type": "a string",
+}
+
+
 def _require(record: dict, fields: tuple[str, ...], schema: str) -> None:
-    missing = [f for f in fields if f not in record]
+    """Each of fields present, unless optional, and of its _RAW_FIELDS kind."""
+    missing = [f for f in fields if f not in record and f not in _OPTIONAL_FIELDS]
     if missing:
         raise SchemaError(f"{schema} record missing fields: {', '.join(missing)}")
+    for f in fields:
+        if f in record and not _FIELD_KINDS[_RAW_FIELDS[f]](record[f]):
+            raise SchemaError(f"{schema} record field {f!r} must be {_RAW_FIELDS[f]}, got {record[f]!r}")
 
 
 def _is_symmetric(task_kind: str) -> bool:
@@ -158,7 +174,7 @@ def consolidate(record: dict, task_kind: str, rng: random.Random) -> CanonicalSa
     opposite label text as the negative.
     """
     if "query" in record:
-        _require(record, ("query", "pos", "source", "task_type"), "retrieval")
+        _require(record, ("query", "pos", "negs", "symmetric", "source", "task_type"), "retrieval")
         kind = record["task_type"] or task_kind
         return CanonicalSample(
             format=RETRIEVAL,
@@ -167,7 +183,7 @@ def consolidate(record: dict, task_kind: str, rng: random.Random) -> CanonicalSa
             negatives=list(record.get("negs", [])),
             source=record["source"],
             task_type=kind,
-            symmetric=bool(record.get("symmetric", _is_symmetric(kind))),
+            symmetric=record.get("symmetric", _is_symmetric(kind)),
         )
     if "label" in record:
         _require(record, ("text", "label", "labels", "source", "task_type"), "binary")
@@ -187,32 +203,38 @@ def consolidate(record: dict, task_kind: str, rng: random.Random) -> CanonicalSa
         )
     if "classes" in record:
         _require(record, ("anchor", "classes", "source", "task_type"), "classed")
-        classes: dict[str, list[str]] = record["classes"]
-        anchor = record["anchor"]
-        own = next((label for label, texts in classes.items() if anchor in texts), None)
-        if own is None:
-            raise SchemaError("classed record anchor not found in any class")
-        positives = [t for t in classes[own] if t != anchor]
-        other_texts = [t for label in sorted(classes) if label != own for t in classes[label]]
-        if not positives or not other_texts:
-            raise SchemaError("classed record needs a same-class positive and a different-class negative")
         kind = record["task_type"] or task_kind
-        return CanonicalSample(
-            format=CLUSTERING,
-            query=anchor,
-            positive=rng.choice(positives),
-            negatives=[rng.choice(other_texts)],
-            source=record["source"],
-            task_type=kind,
-            symmetric=_is_symmetric(kind),
-        )
+        return _clustering_sample(record["anchor"], record["classes"], record["source"], kind, rng)
     raise SchemaError("unknown schema: record has none of the fields query / label / classes")
+
+
+def _clustering_sample(
+    anchor: str, classes: dict[str, list[str]], source: str, kind: str, rng: random.Random
+) -> CanonicalSample:
+    """The anchor with a random same-class positive and a random different-class negative."""
+    own = next((label for label, texts in classes.items() if anchor in texts), None)
+    if own is None:
+        raise SchemaError("classed record anchor not found in any class")
+    positives = [t for t in classes[own] if t != anchor]
+    other_texts = [t for label in sorted(classes) if label != own for t in classes[label]]
+    if not positives or not other_texts:
+        raise SchemaError("classed record needs a same-class positive and a different-class negative")
+    return CanonicalSample(
+        format=CLUSTERING,
+        query=anchor,
+        positive=rng.choice(positives),
+        negatives=[rng.choice(other_texts)],
+        source=source,
+        task_type=kind,
+        symmetric=_is_symmetric(kind),
+    )
 
 
 def is_classed(record: dict) -> bool:
     """True for a per-text classed record, which consolidate_records groups
     with its class before it becomes a sample. Raises SchemaError when such a
-    record misses a field, so callers can check it where they know its line."""
+    record misses a field or has one of the wrong kind, so callers can check it
+    where they know its line."""
     if "class" not in record or "query" in record or "label" in record:
         return False
     _require(record, ("text", "class", "source", "task_type"), "classed")
@@ -240,13 +262,7 @@ def consolidate_records(records: Iterable[dict], rng: random.Random) -> list[Can
             if len(classes[label]) < 2:
                 continue
             for anchor in classes[label]:
-                samples.append(
-                    consolidate(
-                        {"anchor": anchor, "classes": classes, "source": source, "task_type": task_type},
-                        task_type,
-                        rng,
-                    )
-                )
+                samples.append(_clustering_sample(anchor, classes, source, task_type, rng))
     return samples
 
 

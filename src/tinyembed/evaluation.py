@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -199,17 +199,6 @@ def best_threshold_accuracy(sims: list[float], labels: list[int]) -> tuple[float
     return best_acc, best_thr
 
 
-def pair_accuracy(pair_embeddings: np.ndarray, labels: list[int]) -> tuple[float, float]:
-    """Best-threshold accuracy over cosine similarities of (n, 2, d) embedding pairs."""
-    pairs = np.asarray(pair_embeddings)
-    if pairs.ndim != 3 or pairs.shape[1] != 2:
-        raise ValueError(f"expected (n, 2, d) embedding pairs, got {pairs.shape}")
-    a = pairs[:, 0]
-    b = pairs[:, 1]
-    sims = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-    return best_threshold_accuracy([float(s) for s in sims], labels)
-
-
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
@@ -260,9 +249,6 @@ class EvalReport:
     requests: int
     cache_hits: int
 
-    def by_name(self) -> dict[str, float]:
-        return {s.name: s.score for s in self.scores}
-
 
 def _score_task(task: EvalTask, cache: _EmbedCache, dim: int | None) -> float:
     if task.kind == "Retrieval":
@@ -273,10 +259,9 @@ def _score_task(task: EvalTask, cache: _EmbedCache, dim: int | None) -> float:
             ranking = np.argsort(-sims, kind="stable").tolist()
             per_query.append(ndcg_at_k(ranking, relevant, task.k))
         return sum(per_query) / len(per_query)
-    if task.kind == "STS":
-        pred = [float(cache.unit(a, dim) @ cache.unit(b, dim)) for a, b in task.pairs]
-        return spearman(pred, task.gold)
     sims = [float(cache.unit(a, dim) @ cache.unit(b, dim)) for a, b in task.pairs]
+    if task.kind == "STS":
+        return spearman(sims, task.gold)
     return best_threshold_accuracy(sims, task.labels)[0]
 
 
@@ -341,12 +326,10 @@ def ablation_distill(
     seeds and data, and evaluate both on the same tasks."""
     if plan.loss.distill_weight <= 0:
         raise ValueError("ablation needs a positive distill_weight for the distilled arm")
-    from dataclasses import replace as dc_replace
-
     distilled = pruned_init.astype(np.float32)
     plain = pruned_init.astype(np.float32)
-    plan_distilled = dc_replace(plan, teacher=plan.teacher or "teacher")
-    plan_plain = dc_replace(plan, teacher=None, loss=dc_replace(plan.loss, distill_weight=0.0))
+    plan_distilled = replace(plan, teacher=plan.teacher or "teacher")
+    plan_plain = replace(plan, teacher=None, loss=replace(plan.loss, distill_weight=0.0))
     train_stage(distilled, data, plan_distilled, teacher=teacher)
     train_stage(plain, data, plan_plain)
     with_score = evaluate(distilled, tasks).mean

@@ -124,10 +124,6 @@ class EmbeddingModel:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.params.values():
-            p.requires_grad = flag
-
     def astype(self, dtype) -> "EmbeddingModel":
         params = {
             name: Tensor(t.values.astype(dtype), requires_grad=t.requires_grad)
@@ -285,7 +281,7 @@ def forward_chunks(model: EmbeddingModel, token_seqs: list[list[int]]):
 
 def raw_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) -> np.ndarray:
     """Unnormalized EOS hidden states of many sequences, (len(token_seqs), hidden),
-    without gradients. Row i equals raw_sequence_embedding(model, token_seqs[i])
+    without gradients. Row i equals raw_sequence_embeddings(model, [token_seqs[i]])
     for the configs the tests pin and the benchmark teacher, not for every shape
     (README, "Shape caveat").
 
@@ -335,50 +331,11 @@ def raw_sequence_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) 
     return ad.gather_rows(h, np.cumsum([len(seq) for seq in token_seqs]) - 1)
 
 
-def raw_sequence_embedding(model: EmbeddingModel, tokens: list[int]) -> Tensor:
-    """Final hidden state at the EOS position, shape (1, hidden), not normalized."""
-    return raw_sequence_embeddings(model, [tokens])
-
-
-def embed_sequence(model: EmbeddingModel, tokens: list[int]) -> Tensor:
-    """L2-normalized EOS hidden state, shape (1, hidden)."""
-    return ad.l2_normalize_rows(raw_sequence_embedding(model, tokens))
-
-
-def embed_text(model: EmbeddingModel, text: str) -> np.ndarray:
-    """Inference-mode unit embedding of a text string, shape (hidden,)."""
-    with ad.no_grad():
-        return embed_sequence(model, tokenize(text, model.config.max_seq_len)).values[0].copy()
-
-
 def embed_texts(model: EmbeddingModel, texts: list[str]) -> np.ndarray:
-    """embed_text of many texts at once, shape (len(texts), hidden)."""
+    """Inference-mode unit embeddings of texts, shape (len(texts), hidden)."""
     raw = raw_embeddings(model, [tokenize(t, model.config.max_seq_len) for t in texts])
     with ad.no_grad():
         return ad.l2_normalize_rows(Tensor(raw)).values
-
-
-# ---------------------------------------------------------------------------
-# Flat-vector views (used by whole-model gradient checks)
-# ---------------------------------------------------------------------------
-
-
-def flatten_params(model: EmbeddingModel) -> np.ndarray:
-    return np.concatenate([model.params[name].values.reshape(-1) for name, _, _, _ in param_specs(model.config)])
-
-
-def model_from_flat(config: ModelConfig, flat: Tensor) -> EmbeddingModel:
-    """Build a model whose parameters are graph views into one flat leaf tensor."""
-    row = ad.reshape(flat, (1, flat.values.size))
-    params: dict[str, Tensor] = {}
-    offset = 0
-    for name, shape, _, _ in param_specs(config):
-        size = int(np.prod(shape))
-        params[name] = ad.reshape(ad.slice_cols(row, offset, offset + size), shape)
-        offset += size
-    if offset != flat.values.size:
-        raise ad.ShapeError(f"model_from_flat: flat vector has {flat.values.size} values, config needs {offset}")
-    return EmbeddingModel(config, params)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,3 @@ def tokenize(text: str, max_seq_len: int = 512) -> list[int]:
     """Encode text as UTF-8 bytes truncated to max_seq_len - 1, then EOS."""
     data = text.encode("utf-8")[: max_seq_len - 1]
     return list(data) + [EOS_ID]
-
-
-def detokenize(tokens: list[int]) -> str:
-    """Inverse of tokenize for untruncated input; ignores EOS/PAD tail."""
-    body = []
-    for t in tokens:
-        if t >= EOS_ID:
-            break
-        body.append(t)
-    return bytes(body).decode("utf-8")

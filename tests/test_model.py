@@ -11,8 +11,18 @@ import pytest
 from tinyembed import autodiff as ad
 from tinyembed import model as tm
 from tinyembed.model import ModelConfig
-from tinyembed.tokenizer import EOS_ID, PAD_ID, detokenize, tokenize
+from tinyembed.tokenizer import EOS_ID, PAD_ID, tokenize
 
+from reference import (
+    detokenize,
+    embed_sequence,
+    embed_text,
+    flatten_params,
+    model_from_flat,
+    mul,
+    raw_sequence_embedding,
+    sum_all,
+)
 from test_autodiff import unfused_gated_mlp
 
 TINY = ModelConfig(
@@ -116,7 +126,7 @@ def test_embed_sequence_unit_norm_and_eos_row():
     m = tm.init_model(TINY, seed=5)
     toks = tokenize("ab", TINY.max_seq_len)
     with ad.no_grad():
-        e = tm.embed_sequence(m, toks).values[0]
+        e = embed_sequence(m, toks).values[0]
         h = tm.forward_hidden(m, toks).values
     assert abs(np.linalg.norm(e) - 1.0) < 1e-6
     np.testing.assert_allclose(e, h[-1] / np.linalg.norm(h[-1]), atol=1e-7)
@@ -125,9 +135,9 @@ def test_embed_sequence_unit_norm_and_eos_row():
 def test_embed_sequence_requires_terminal_eos():
     m = tm.init_model(TINY, seed=5)
     with pytest.raises(ValueError, match="EOS"):
-        tm.embed_sequence(m, [65, 66])
+        embed_sequence(m, [65, 66])
     with pytest.raises(ValueError, match="EOS"):
-        tm.embed_sequence(m, [65, EOS_ID, 66, EOS_ID])
+        embed_sequence(m, [65, EOS_ID, 66, EOS_ID])
 
 
 def test_padding_after_eos_does_not_change_embedding():
@@ -137,7 +147,7 @@ def test_padding_after_eos_does_not_change_embedding():
     toks = tokenize("padding check", TINY.max_seq_len)
     padded = toks + [PAD_ID] * 5
     with ad.no_grad():
-        e = tm.embed_sequence(m, toks).values[0]
+        e = embed_sequence(m, toks).values[0]
         h_padded = tm.forward_hidden(m, padded).values
     eos_row = h_padded[len(toks) - 1]
     np.testing.assert_allclose(e, eos_row / np.linalg.norm(eos_row), atol=1e-6)
@@ -145,8 +155,8 @@ def test_padding_after_eos_does_not_change_embedding():
 
 def test_model_from_flat_reproduces_forward():
     m = tm.init_model(TINY, seed=7)
-    flat = tm.flatten_params(m)
-    rebuilt = tm.model_from_flat(TINY, ad.Tensor(flat))
+    flat = flatten_params(m)
+    rebuilt = model_from_flat(TINY, ad.Tensor(flat))
     toks = tokenize("flat view", TINY.max_seq_len)
     with ad.no_grad():
         np.testing.assert_array_equal(
@@ -213,7 +223,7 @@ def test_raw_embeddings_bitwise_equal_one_sequence_at_a_time(group, layers):
         seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=1)]
         got = tm.raw_embeddings(m, seqs)
         with ad.no_grad():
-            want = np.stack([tm.raw_sequence_embedding(m, s).values[0] for s in seqs])
+            want = np.stack([raw_sequence_embedding(m, s).values[0] for s in seqs])
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -256,7 +266,7 @@ def test_forward_bitwise_equals_the_unfused_mlp_chain(monkeypatch):
     def run():
         taps = [(idx, r.residual, r.mlp_act) for idx, r in tm.forward_chunks(m, seqs)]
         out = tm.raw_sequence_embeddings(m, seqs)
-        ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(np.cos(np.arange(out.values.size)).reshape(out.shape)))))
+        ad.backward(sum_all(mul(out, ad.Tensor(np.cos(np.arange(out.values.size)).reshape(out.shape)))))
         return taps, [tm.raw_embeddings(m, seqs), out.values] + [p.grad for p in m.params.values()]
 
     fused_taps, fused = run()
@@ -336,7 +346,7 @@ def test_chunk_threads_raise_in_the_caller_and_leave_no_thread(monkeypatch):
 def test_embed_texts_bitwise_equal_embed_text():
     m = tm.init_model(WIDE, seed=9)
     texts = mixed_length_texts(seed=2)
-    np.testing.assert_array_equal(tm.embed_texts(m, texts), np.stack([tm.embed_text(m, t) for t in texts]))
+    np.testing.assert_array_equal(tm.embed_texts(m, texts), np.stack([embed_text(m, t) for t in texts]))
     assert tm.embed_texts(m, []).shape == (0, WIDE.hidden_size)
 
 

@@ -15,10 +15,12 @@ from tinyembed import model as tm
 from tinyembed import training as tt
 from tinyembed.autodiff import Tensor
 from tinyembed.data import CLUSTERING, RETRIEVAL, Batch, CanonicalSample
-from tinyembed.model import ModelConfig, init_model, raw_embeddings, raw_sequence_embedding
+from tinyembed.model import ModelConfig, init_model, raw_embeddings
+from tinyembed.pruning import collect_activation_norms
 from tinyembed.tokenizer import tokenize
 from tinyembed.training import LossConfig, OptimizerState, StagePlan
 
+from reference import concat, cross_entropy, raw_sequence_embedding, transpose
 from test_autodiff import assert_backward_equals_reference, assert_vjps_repeat
 
 
@@ -214,9 +216,9 @@ def _reference_info_nce(query_embs, pos_embs, neg_embs, temperature, use_in_batc
             parts.append(neg_embs[i])
         if use_in_batch and b > 1:
             parts.append(ad.gather_rows(pos_embs, [j for j in range(b) if j != i]))
-        candidates = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-        sims = ad.matmul(ad.gather_rows(query_embs, [i]), ad.transpose(candidates))
-        loss_i = ad.cross_entropy(ad.scale(sims, inv_t), [0])
+        candidates = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+        sims = ad.matmul(ad.gather_rows(query_embs, [i]), transpose(candidates))
+        loss_i = cross_entropy(ad.scale(sims, inv_t), [0])
         losses = loss_i if losses is None else ad.add(losses, loss_i)
     return ad.scale(losses, 1.0 / b)
 
@@ -237,7 +239,7 @@ def _reference_matryoshka(raw_q, raw_p, raw_n, loss_cfg, use_in_batch):
 def _stacked(loss, q, p, negs, *args, **kwargs):
     """loss (tt.info_nce or tt.matryoshka_info_nce) of the list form's tensors:
     their rows stacked, and each query's negative count."""
-    emb = ad.concat([q, p] + [n for n in negs if n is not None and n.shape[0] > 0], axis=0)
+    emb = concat([q, p] + [n for n in negs if n is not None and n.shape[0] > 0], axis=0)
     counts = [0 if n is None else n.shape[0] for n in negs]
     return loss(emb, q.shape[0], counts, *args, **kwargs)
 
@@ -302,8 +304,6 @@ def test_loss_config_validation():
         LossConfig(mrl_dims=(4, 16))
     with pytest.raises(ValueError, match="positive"):
         LossConfig(mrl_dims=(8, 16), mrl_weights=(1.0, 0.0))
-    assert tt.default_mrl_dims(48) == (8, 16, 32, 48)
-    assert tt.default_mrl_dims(64) == (8, 16, 32, 64)
 
 
 # --- distillation ------------------------------------------------------------
@@ -510,6 +510,26 @@ def test_the_teacher_embeds_each_text_once_before_the_first_student_forward(monk
     assert embedded == [tuple(tokenize(t, teacher.config.max_seq_len)) for t in texts]
 
 
+def test_every_registered_primitive_is_recorded_by_the_pipeline(monkeypatch):
+    # A stage-2 step with a teacher and a matryoshka dim below full, no-grad
+    # embedding and pruning calibration record every primitive src/ registers:
+    # ops only the tests use live beside them (tests/reference.py).
+    recorded, make = set(), ad._make
+
+    def spy(op, values, parents, vjp):
+        recorded.add(op)
+        return make(op, values, parents, vjp)
+
+    monkeypatch.setattr(ad, "_make", spy)
+    data = [Batch([rsample(query=f"q{i}", positive=f"d{i}") for i in range(4)], stage=2)]
+    student, teacher = init_model(STUDENT_CFG, seed=3), init_model(STUDENT_CFG, seed=9)
+    tt.train_stage(student, data, make_plan(stage=2, teacher="ckpt"), teacher=teacher)
+    seqs = [tokenize(t) for t in ("a", "bc", "def", "ghi")]
+    raw_embeddings(student, seqs)
+    collect_activation_norms(student, seqs)
+    assert recorded == set(ad.primitive_set())
+
+
 def test_metrics_csv_format(tmp_path):
     data = [Batch([rsample(query=f"q{i}") for i in range(2)])]
     model = init_model(STUDENT_CFG, seed=0)
@@ -533,7 +553,7 @@ def _embed_rows(model, texts, cache):
     for text in texts:
         toks = cache.setdefault(text, tokenize(text, model.config.max_seq_len))
         rows.append(raw_sequence_embedding(model, toks))
-    return rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
 
 
 def _per_text_step(model, batch, plan, opt, teacher, token_cache, teacher_cache):
@@ -547,7 +567,7 @@ def _per_text_step(model, batch, plan, opt, teacher, token_cache, teacher_cache)
     if teacher is not None:
         all_texts = queries + positives + [n for negs in negatives for n in negs]
         student_rows = [raw_q, raw_p] + [t for t in raw_n if t is not None]
-        student_unit = ad.l2_normalize_rows(ad.concat(student_rows, axis=0))
+        student_unit = ad.l2_normalize_rows(concat(student_rows, axis=0))
         missing = [t for t in dict.fromkeys(all_texts) if t not in teacher_cache]
         max_len = teacher.config.max_seq_len
         for text, raw in zip(missing, raw_embeddings(teacher, [tokenize(t, max_len) for t in missing])):
