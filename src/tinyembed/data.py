@@ -204,30 +204,41 @@ def consolidate(record: dict, task_kind: str, rng: random.Random) -> CanonicalSa
     if "classes" in record:
         _require(record, ("anchor", "classes", "source", "task_type"), "classed")
         kind = record["task_type"] or task_kind
-        return _clustering_sample(record["anchor"], record["classes"], record["source"], kind, rng)
+        return _clustering_samples([record["anchor"]], record["classes"], record["source"], kind, rng)[0]
     raise SchemaError("unknown schema: record has none of the fields query / label / classes")
 
 
-def _clustering_sample(
-    anchor: str, classes: dict[str, list[str]], source: str, kind: str, rng: random.Random
-) -> CanonicalSample:
-    """The anchor with a random same-class positive and a random different-class negative."""
-    own = next((label for label, texts in classes.items() if anchor in texts), None)
-    if own is None:
-        raise SchemaError("classed record anchor not found in any class")
-    positives = [t for t in classes[own] if t != anchor]
-    other_texts = [t for label in sorted(classes) if label != own for t in classes[label]]
-    if not positives or not other_texts:
-        raise SchemaError("classed record needs a same-class positive and a different-class negative")
-    return CanonicalSample(
-        format=CLUSTERING,
-        query=anchor,
-        positive=rng.choice(positives),
-        negatives=[rng.choice(other_texts)],
-        source=source,
-        task_type=kind,
-        symmetric=_is_symmetric(kind),
-    )
+def _clustering_samples(
+    anchors: list[str], classes: dict[str, list[str]], source: str, kind: str, rng: random.Random
+) -> list[CanonicalSample]:
+    """Each anchor with a random same-class positive (a text of its class other
+    than itself) and a random different-class negative; its class is the first
+    that holds it. Each draw is rng.choice over a range as long as the candidate
+    list, mapped onto the candidates, so no list is built per anchor."""
+    owner, spots, flat, start = {}, defaultdict(list), [], {}
+    for label, texts in classes.items():
+        for i, text in enumerate(texts):
+            if owner.setdefault(text, label) == label:
+                spots[text].append(i)  # where the text sits in its own class
+    for label in sorted(classes):  # the texts of every class, in label order
+        start[label] = len(flat)
+        flat += classes[label]
+    samples = []
+    for anchor in anchors:
+        if anchor not in owner:
+            raise SchemaError("classed record anchor not found in any class")
+        own = owner[anchor]
+        members, skip = classes[own], spots[anchor]
+        if len(members) == len(skip) or len(flat) == len(members):
+            raise SchemaError("classed record needs a same-class positive and a different-class negative")
+        i = rng.choice(range(len(members) - len(skip)))
+        for s in skip:  # step over the anchor's copies
+            i += s <= i
+        j = rng.choice(range(len(flat) - len(members)))
+        j += len(members) if j >= start[own] else 0  # step over the anchor's class
+        samples.append(CanonicalSample(format=CLUSTERING, query=anchor, positive=members[i], negatives=[flat[j]],
+                                       source=source, task_type=kind, symmetric=_is_symmetric(kind)))
+    return samples
 
 
 def is_classed(record: dict) -> bool:
@@ -258,17 +269,21 @@ def consolidate_records(records: Iterable[dict], rng: random.Random) -> list[Can
     for (source, task_type), classes in classed.items():
         if len(classes) < 2:
             continue
-        for label in sorted(classes):
-            if len(classes[label]) < 2:
-                continue
-            for anchor in classes[label]:
-                samples.append(_clustering_sample(anchor, classes, source, task_type, rng))
+        anchors = [anchor for label in sorted(classes) if len(classes[label]) >= 2 for anchor in classes[label]]
+        samples += _clustering_samples(anchors, classes, source, task_type, rng)
     return samples
 
 
 # ---------------------------------------------------------------------------
 # Hard-negative mining
 # ---------------------------------------------------------------------------
+
+
+def top_ranks(doc_matrix: np.ndarray, queries, top: int) -> list[list[int]]:
+    """Per query vector, the indices of its `top` most similar rows of doc_matrix,
+    ties in index order. Each query's similarities are one gemv, doc_matrix @ q
+    (a gemm over all queries rounds otherwise)."""
+    return [np.argsort(-(doc_matrix @ q), kind="stable")[:top].tolist() for q in queries]
 
 
 def mine_hard_negatives(
@@ -292,15 +307,11 @@ def mine_hard_negatives(
     if positive_indices is None or len(positive_indices) != len(queries):
         raise ValueError("positive_indices must give one corpus index per query")
     doc_embs = np.stack([embedder(doc) for doc in corpus])
+    # Dropping at most skip_top + 1 ranks leaves k within the first skip_top + k + 1.
+    orders = top_ranks(doc_embs, [embedder(query) for query in queries], skip_top + k + 1)
     out: list[list[str]] = []
-    for query, pos_idx in zip(queries, positive_indices):
-        if k == 0:
-            out.append([])
-            continue
-        sims = doc_embs @ embedder(query)
-        order = np.argsort(-sims, kind="stable").tolist()
-        excluded = set(order[:skip_top])
-        excluded.add(pos_idx)
+    for order, pos_idx in zip(orders, positive_indices):
+        excluded = {*order[:skip_top], pos_idx}
         out.append([corpus[j] for j in order if j not in excluded][:k])
     return out
 

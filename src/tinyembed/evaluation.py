@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Batch, SchemaError, check_fields
+from .data import Batch, SchemaError, check_fields, top_ranks
 from .model import EmbeddingModel, raw_embeddings
 from .tokenizer import tokenize
 from .training import StagePlan, train_stage, truncate_and_renorm_array
@@ -150,18 +150,14 @@ def ndcg_at_k(ranking: list[int], relevant: dict[int, float], k: int) -> float:
     return dcg / ideal
 
 
-def _fractional_ranks(values: list[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = avg
-        i = j + 1
+def _fractional_ranks(values: list[float]) -> np.ndarray:
+    """1-based ranks in sorted order, each run of equal values given its mean rank."""
+    order = np.argsort(values, kind="stable")
+    v = np.asarray(values, dtype=np.float64)[order]
+    first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])  # where each run starts
+    last = np.r_[first[1:], len(v)] - 1
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((first + last) / 2 + 1.0, last - first + 1)
     return ranks
 
 
@@ -169,8 +165,7 @@ def spearman(pred: list[float], gold: list[float]) -> float:
     """Pearson correlation of fractional (average-tie) ranks."""
     if len(pred) != len(gold) or len(pred) < 2:
         raise ValueError("spearman needs two equal-length score lists of size >= 2")
-    rp = np.asarray(_fractional_ranks(list(pred)))
-    rg = np.asarray(_fractional_ranks(list(gold)))
+    rp, rg = _fractional_ranks(pred), _fractional_ranks(gold)
     rp -= rp.mean()
     rg -= rg.mean()
     denom = math.sqrt(float(rp @ rp) * float(rg @ rg))
@@ -181,22 +176,19 @@ def spearman(pred: list[float], gold: list[float]) -> float:
 
 def best_threshold_accuracy(sims: list[float], labels: list[int]) -> tuple[float, float]:
     """Scan all midpoints between sorted similarities (plus both extremes);
-    predict label 1 when sim > threshold. Returns (best accuracy, threshold)."""
+    predict label 1 when sim > threshold. Returns (best accuracy, threshold),
+    the lowest threshold on a tie, counting by binary search per label."""
     if len(sims) != len(labels) or len(sims) < 2:
         raise ValueError("need >= 2 (similarity, label) pairs")
     if len(set(labels)) < 2:
         raise ValueError("both labels must be present")
-    uniq = sorted(set(sims))
-    thresholds = [uniq[0] - 1.0]
-    thresholds += [(a + b) / 2 for a, b in zip(uniq, uniq[1:])]
-    thresholds.append(uniq[-1] + 1.0)
-    best_acc, best_thr = -1.0, thresholds[0]
-    n = len(sims)
-    for thr in thresholds:
-        acc = sum((s > thr) == bool(l) for s, l in zip(sims, labels)) / n
-        if acc > best_acc:
-            best_acc, best_thr = acc, thr
-    return best_acc, best_thr
+    values, positive = np.asarray(sims, dtype=np.float64), np.asarray(labels, dtype=bool)
+    uniq = np.array(sorted(set(sims)), dtype=np.float64)  # np.unique would import numpy.ma: +1.7 MB RSS on numpy 2.4
+    thresholds = np.concatenate([[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2, [uniq[-1] + 1.0]])
+    ones, zeros = np.sort(values[positive]), np.sort(values[~positive])
+    correct = len(ones) - np.searchsorted(ones, thresholds, side="right") + np.searchsorted(zeros, thresholds, side="right")
+    best = int(np.argmax(correct))
+    return float(correct[best] / len(sims)), float(thresholds[best])
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +197,7 @@ def best_threshold_accuracy(sims: list[float], labels: list[int]) -> tuple[float
 
 
 class _EmbedCache:
-    """Raw EOS embeddings computed once per unique text; truncation applied per use."""
+    """Raw EOS embeddings computed once per unique text; truncation applied per use, to many texts at once."""
 
     def __init__(self, model: EmbeddingModel):
         self.model = model
@@ -227,11 +219,11 @@ class _EmbedCache:
         max_len = self.model.config.max_seq_len
         self.raw.update(zip(new, raw_embeddings(self.model, [tokenize(t, max_len) for t in new])))
 
-    def unit(self, text: str, dim: int | None) -> np.ndarray:
-        """A text of a warm call, truncated to dim and renormed."""
-        raw = self.raw[text]
-        d = raw.shape[0] if dim is None else dim
-        return truncate_and_renorm_array(raw[None, :], d)[0]
+    def units(self, texts: list[str], dim: int | None) -> np.ndarray:
+        """Texts of a warm call as rows, truncated to dim and renormed. A row's
+        norm is its own reduction, so each row rounds as it would alone."""
+        raw = np.stack([self.raw[text] for text in texts])
+        return truncate_and_renorm_array(raw, raw.shape[1] if dim is None else dim)
 
 
 @dataclass
@@ -251,15 +243,15 @@ class EvalReport:
 
 
 def _score_task(task: EvalTask, cache: _EmbedCache, dim: int | None) -> float:
+    """One task's score at dim. The corpus, the queries and each side of the
+    pairs are truncated as one matrix each; retrieval ranks with top_ranks, and
+    a pair's similarity is one dot product of its two rows."""
     if task.kind == "Retrieval":
-        doc_matrix = np.stack([cache.unit(doc, dim) for doc in task.corpus])
-        per_query = []
-        for query, relevant in zip(task.queries, task.relevance):
-            sims = doc_matrix @ cache.unit(query, dim)
-            ranking = np.argsort(-sims, kind="stable").tolist()
-            per_query.append(ndcg_at_k(ranking, relevant, task.k))
+        rankings = top_ranks(cache.units(task.corpus, dim), cache.units(task.queries, dim), task.k)
+        per_query = [ndcg_at_k(ranking, relevant, task.k) for ranking, relevant in zip(rankings, task.relevance)]
         return sum(per_query) / len(per_query)
-    sims = [float(cache.unit(a, dim) @ cache.unit(b, dim)) for a, b in task.pairs]
+    firsts, seconds = (cache.units(side, dim) for side in zip(*task.pairs))
+    sims = [float(u @ v) for u, v in zip(firsts, seconds)]
     if task.kind == "STS":
         return spearman(sims, task.gold)
     return best_threshold_accuracy(sims, task.labels)[0]
@@ -288,11 +280,7 @@ def mrl_sweep(model: EmbeddingModel, tasks: list[EvalTask], dims: list[int]) -> 
         raise ValueError(f"dims must lie within [8, {model.config.hidden_size}]")
     cache = _EmbedCache(model)
     cache.warm([text for task in tasks for text in task.texts()])
-    rows = []
-    for d in dims:
-        scores = [_score_task(t, cache, d) for t in tasks]
-        rows.append((d, sum(scores) / len(scores)))
-    return rows
+    return [(d, sum(_score_task(t, cache, d) for t in tasks) / len(tasks)) for d in dims]
 
 
 def write_sweep_csv(path: str | Path, rows: list[tuple[int, float]]) -> None:

@@ -51,26 +51,26 @@ class ChannelNorms:
 def collect_activation_norms(model: EmbeddingModel, calibration: list[list[int]]) -> ChannelNorms:
     """L2 norms over all (sequence, position) pairs, per hidden and per MLP channel.
 
-    Sequences are forwarded in length chunks; each sequence's per-layer partial
-    sums are added in calibration order, so the float64 totals round exactly as
-    one forward per sequence would.
+    Sequences are forwarded in length chunks. A chunk's per-sequence partial sums
+    reduce its (sequences, tokens, ·) taps over the tokens, and are added in
+    calibration order, so the float64 totals round exactly as one forward per
+    sequence would.
     """
     if not calibration:
         raise ValueError("empty calibration set")
     cfg = model.config
     partials: list[list[tuple[np.ndarray, np.ndarray, float]]] = [[] for _ in calibration]
     for idx, taps in forward_chunks(model, calibration):
-        t = len(calibration[idx[0]])
-        for j, seq_index in enumerate(idx):
-            rows = slice(j * t, (j + 1) * t)
-            prev = taps.embedding[rows]
-            for res, act in zip(taps.residual, taps.mlp_act):
-                res, act = res[rows], act[rows]
-                change = np.abs(np.linalg.norm(res, axis=1).astype(np.float64) - np.linalg.norm(prev, axis=1)).sum()
-                partials[seq_index].append(
-                    ((res.astype(np.float64) ** 2).sum(axis=0), (act.astype(np.float64) ** 2).sum(axis=0), change)
-                )
-                prev = res
+        n = len(idx)
+        prev = np.linalg.norm(taps.embedding, axis=1)
+        for res, act in zip(taps.residual, taps.mlp_act):
+            norm = np.linalg.norm(res, axis=1)
+            change = np.abs(norm.astype(np.float64) - prev).reshape(n, -1).sum(axis=1)
+            hidden = np.square(res, dtype=np.float64).reshape(n, -1, res.shape[1]).sum(axis=1)
+            mlp = np.square(act, dtype=np.float64).reshape(n, -1, act.shape[1]).sum(axis=1)
+            for seq_index, part in zip(idx, zip(hidden, mlp, change)):
+                partials[seq_index].append(part)
+            prev = norm
     ssq_hidden = np.zeros(cfg.hidden_size, dtype=np.float64)
     ssq_mlp = [np.zeros(cfg.mlp_intermediate_size, dtype=np.float64) for _ in range(cfg.num_layers)]
     delta = np.zeros(cfg.num_layers, dtype=np.float64)
@@ -88,8 +88,7 @@ def collect_activation_norms(model: EmbeddingModel, calibration: list[list[int]]
 
 def top_k_indices(norms: np.ndarray, k: int) -> list[int]:
     """Indices of the k largest norms, ties broken by lower index, sorted ascending."""
-    ranked = sorted(range(len(norms)), key=lambda i: (-norms[i], i))
-    return sorted(ranked[:k])
+    return np.sort(np.argsort(-norms, kind="stable")[:k]).tolist()
 
 
 def pruned_config(config: ModelConfig, spec: PruneSpec) -> ModelConfig:

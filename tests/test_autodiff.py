@@ -965,6 +965,22 @@ def test_causal_attention_leaves_the_shared_mask_alone():
     np.testing.assert_array_equal(ad._future_mask(5), np.triu(np.ones((5, 5), dtype=bool), 1))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_scores_that_overflow_raise_naming_causal_attention(dtype):
+    # Finite queries whose scores overflow to +inf or -inf: the max subtraction
+    # gives NaN either way, and the output's finite check names the primitive.
+    huge = np.finfo(dtype).max / 2
+    lengths = [3, 4]
+    for sign in (1.0, -1.0):
+        q0 = np.ones((7, 4), dtype=dtype)
+        q0[5] = sign * huge
+        k0, v0 = np.full((7, 4), 4.0, dtype=dtype), np.ones((7, 4), dtype=dtype)
+        for last_query in (False, True):
+            q, k, v = (Tensor(x.copy(), requires_grad=True) for x in (q0[[2, 5]] if last_query else q0, k0, v0))
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFiniteError, match="causal_attention"):
+                ad.causal_attention(q, k, v, head_dim=2, lengths=lengths, last_query=last_query)
+
+
 # --- grad_check behavior ----------------------------------------------------
 
 

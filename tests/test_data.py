@@ -15,6 +15,8 @@ from tinyembed.data import (
     SchemaError,
 )
 
+import reference
+
 
 def sample(fmt=RETRIEVAL, source="src", negs=None, symmetric=False, task_type="qa", instruction=None, query="q", positive="d"):
     if negs is None:
@@ -74,6 +76,57 @@ def test_consolidate_records_groups_classed_stream():
     formats = sorted(s.format for s in samples)
     # y1 has no same-class partner, so only x1 and x2 become clustering anchors
     assert formats == [CLUSTERING, CLUSTERING, RETRIEVAL]
+
+
+def test_consolidate_records_equals_the_per_anchor_reference():
+    # Small vocabularies repeat texts within a class and across classes; a class
+    # holding only copies of one text has no positive and raises in both.
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for _ in range(60):
+        records = []
+        for g in range(int(rng.integers(1, 4))):
+            vocab = [f"g{g}w{i}" for i in range(int(rng.integers(2, 40)))]
+            n_classes = int(rng.integers(1, 6))
+            for _ in range(int(rng.integers(1, 40))):
+                text, label = str(rng.choice(vocab)), f"c{int(rng.integers(0, n_classes))}"
+                records.append({"text": text, "class": label, "source": f"s{g}", "task_type": "clustering"})
+        records.insert(int(rng.integers(0, len(records) + 1)), {"query": "q", "pos": "d", "source": "r", "task_type": "qa"})
+        seed = int(rng.integers(0, 2**31))
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        try:
+            want = reference.consolidate_records(records, want_rng)
+        except SchemaError as e:
+            outcomes.add("error")
+            with pytest.raises(SchemaError, match=str(e)):
+                td.consolidate_records(records, got_rng)
+            continue
+        outcomes.add("samples")
+        got = td.consolidate_records(records, got_rng)
+        assert [s.to_json() for s in got] == [s.to_json() for s in want]
+        assert got_rng.getstate() == want_rng.getstate()
+    assert outcomes == {"error", "samples"}
+
+
+def test_classes_record_equals_the_per_anchor_reference():
+    cases = [
+        ("x1", {"A": ["x1", "x2", "x3"], "B": ["y1", "y2"]}),
+        ("x1", {"B": ["y1", "x1"], "A": ["x1", "x2", "x1"], "C": []}),  # first class holding the anchor
+        ("y1", {"A": ["x1", "x2"], "B": ["y1", "y1", "y2"], "C": ["z1"]}),
+        ("x1", {"A": ["x1", "x1"], "B": ["y1"]}),  # no positive
+        ("x1", {"A": ["x1", "x2"], "B": []}),  # no negative
+        ("q", {"A": ["x1", "x2"], "B": ["y1"]}),  # anchor in no class
+    ]
+    for anchor, classes in cases:
+        record = {"anchor": anchor, "classes": classes, "source": "s", "task_type": "clustering"}
+        for seed in range(5):
+            try:
+                want = reference.clustering_sample(anchor, classes, "s", "clustering", random.Random(seed))
+            except SchemaError as e:
+                with pytest.raises(SchemaError, match=str(e)):
+                    td.consolidate(record, "clustering", random.Random(seed))
+                continue
+            assert td.consolidate(record, "clustering", random.Random(seed)) == want
 
 
 # --- mining ------------------------------------------------------------------

@@ -13,6 +13,8 @@ from tinyembed import synthetic as syn
 from tinyembed.evaluation import EvalTask
 from tinyembed.model import ModelConfig, init_model
 
+import reference
+
 TINY = ModelConfig(hidden_size=16, mlp_intermediate_size=16, num_layers=1, num_heads=2,
                    num_kv_heads=1, head_dim=4, vocab_size=258, max_seq_len=32)
 
@@ -96,6 +98,24 @@ def test_spearman_monotone_transform_invariance():
     assert abs(ev.spearman(pred, gold) - ev.spearman(transformed, gold)) < 1e-12
 
 
+def test_spearman_equals_the_one_run_at_a_time_reference():
+    # Few distinct values make long tie runs; +0 and -0 are one run; gold of
+    # integers ranks as the same floats would.
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        pool = rng.standard_normal(int(rng.integers(1, n + 1))).tolist() + [0.0, -0.0]
+        pred = [pool[int(i)] for i in rng.integers(0, len(pool), size=n)]
+        gold = rng.integers(0, 4, size=n).tolist() if rng.random() < 0.5 else rng.standard_normal(n).tolist()
+        try:
+            want = reference.spearman(pred, gold)
+        except ValueError:
+            with pytest.raises(ValueError, match="zero-variance"):
+                ev.spearman(pred, gold)
+            continue
+        assert ev.spearman(pred, gold) == want
+
+
 def test_spearman_zero_variance_errors():
     with pytest.raises(ValueError, match="zero-variance"):
         ev.spearman([1.0, 1.0, 1.0], [1, 2, 3])
@@ -129,6 +149,30 @@ def test_pair_accuracy_matches_exhaustive_oracle():
         want = max(sum((s > t) == bool(l) for s, l in zip(sims, labels)) / n for t in candidates)
         assert got_acc == want
         assert got_acc >= max(labels.count(0), labels.count(1)) / n
+
+
+def test_pair_accuracy_equals_the_every_pair_reference():
+    # Same (accuracy, threshold), so the same threshold wins a tie.
+    rng = np.random.default_rng(22)
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        pool = rng.uniform(-1, 1, size=int(rng.integers(1, n + 1)))  # repeats make tied similarities
+        cases.append((rng.choice(pool, size=n).tolist(), rng.integers(0, 2, size=n).tolist()))
+    cases.append(([0.5] * 6, [1, 0, 1, 0, 0, 1]))
+    cases += [([-0.0, 0.0, 0.5], [1, 0, 1]), ([0.0, -0.0, -0.5], [0, 1, 1]), ([-0.0, 0.0], [0, 1])]  # one value, two signs
+    # Neighbouring floats: the midpoint of two rounds onto one of them, so it is
+    # a threshold equal to a similarity, which `sim > threshold` keeps below it.
+    close = [0.3]
+    for _ in range(5):
+        close.append(float(np.nextafter(close[-1], 1.0)))
+    assert any((a + b) / 2 in (a, b) for a, b in zip(close, close[1:]))
+    for _ in range(30):
+        cases.append((close, rng.integers(0, 2, size=len(close)).tolist()))
+    for sims, labels in cases:
+        if len(set(labels)) < 2:
+            continue
+        assert ev.best_threshold_accuracy(sims, labels) == reference.best_threshold_accuracy(sims, labels)
 
 
 def test_pair_accuracy_single_class_errors():
@@ -175,8 +219,8 @@ def test_retrieval_tied_similarities_match_key_sort():
         def __init__(self, vecs):
             self.vecs = vecs
 
-        def unit(self, text, dim):
-            return self.vecs[text]
+        def units(self, texts, dim):
+            return np.stack([self.vecs[text] for text in texts])
 
     directions = np.array([[1.0, 0.0], [-0.0, 1.0], [-0.0, -1.0], [0.6, 0.8], [-1.0, -0.0]], dtype=np.float32)
     rng = np.random.default_rng(15)
@@ -186,13 +230,54 @@ def test_retrieval_tied_similarities_match_key_sort():
         relevance = [{int(j): float(rng.integers(1, 3)) for j in rng.integers(0, 30, size=3)} for _ in queries]
         task = EvalTask(kind="Retrieval", name="ties", queries=queries, corpus=corpus, relevance=relevance, k=5)
         cache = FixedUnits({t: directions[rng.integers(0, len(directions))] for t in corpus + queries})
-        doc_matrix = np.stack([cache.unit(d, None) for d in corpus])
+        doc_matrix = np.stack([cache.vecs[d] for d in corpus])
         want = []
         for query, relevant in zip(queries, relevance):
-            sims = doc_matrix @ cache.unit(query, None)
+            sims = doc_matrix @ cache.vecs[query]
             ranking = sorted(range(len(corpus)), key=lambda j: (-sims[j], j))
             want.append(ev.ndcg_at_k(ranking, relevant, task.k))
         assert ev._score_task(task, cache, None) == sum(want) / len(want)
+
+
+def random_pair_tasks(rng, texts, n_pairs):
+    """An STS and a pair task over the same random pairs; the last gold score and
+    the first two labels keep each task valid."""
+    pairs = [tuple(rng.choice(texts, size=2).tolist()) for _ in range(n_pairs)]
+    gold = rng.integers(0, 4, size=n_pairs).astype(float).tolist()
+    labels = [0, 1] + rng.integers(0, 2, size=n_pairs - 2).tolist()
+    return [
+        EvalTask(kind="STS", name="sts", pairs=pairs, gold=gold[:-1] + [4.0]),
+        EvalTask(kind="PairClassification", name="pc", pairs=pairs, labels=labels),
+    ]
+
+
+def test_score_task_equals_the_per_text_reference():
+    # Raw rows drawn from a few shared vectors tie similarities; odd widths and
+    # dims put a stacked row at an offset no single vector had.
+    rng = np.random.default_rng(21)
+    for hidden, dims in ((16, (None, 8, 16)), (24, (None, 8, 13)), (64, (None, 8, 16, 32))):
+        for dtype in (np.float32, np.float64):
+            pool = rng.standard_normal((4, hidden)).astype(dtype)
+            texts = [f"t{i}" for i in range(50)]
+            cache = ev._EmbedCache(None)
+            cache.raw = {
+                t: pool[rng.integers(0, len(pool))].copy() if rng.random() < 0.6 else rng.standard_normal(hidden).astype(dtype)
+                for t in texts
+            }
+            relevance = [{int(j): float(rng.integers(1, 3)) for j in rng.integers(0, 38, size=3)} for _ in range(12)]
+            k = int(rng.integers(1, 40))
+            tasks = [EvalTask(kind="Retrieval", name="ret", queries=texts[:12], corpus=texts[12:], relevance=relevance, k=k)]
+            tasks += random_pair_tasks(rng, texts, 30)
+            for task in tasks:
+                for dim in dims:
+                    assert ev._score_task(task, cache, dim) == reference.score_task(task, cache, dim), (task.kind, hidden, dim)
+    model = init_model(TINY, seed=5)
+    tasks = small_tasks(seed=6)
+    cache = ev._EmbedCache(model)
+    cache.warm([text for task in tasks for text in task.texts()])
+    for task in tasks:
+        for dim in (None, 8, 12):
+            assert ev._score_task(task, cache, dim) == reference.score_task(task, cache, dim), (task.kind, dim)
 
 
 def test_evaluate_dim_validation():

@@ -31,6 +31,11 @@ def test_top_k_indices_sort_oracle():
         k = int(rng.integers(1, 20))
         want = sorted(sorted(range(20), key=lambda i: (-v[i], i))[:k])
         assert tp.top_k_indices(v, k) == want
+    for _ in range(15):  # few distinct values tie
+        v = rng.choice([0.0, 0.5, 1.0], size=20)
+        k = int(rng.integers(1, 20))
+        want = sorted(sorted(range(20), key=lambda i: (-v[i], i))[:k])
+        assert tp.top_k_indices(v, k) == want
 
 
 def test_constant_activation_norm_is_v_sqrt_t():
