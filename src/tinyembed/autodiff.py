@@ -34,7 +34,7 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 # Most rows one block of whole sequences holds: a no-grad forward chunk
-# (model.length_chunks), an attention block, a block of gated_mlp's vjp. It
+# (length_chunks), an attention block, a block of gated_mlp's vjp. It
 # bounds the scores, taps and vjp transients held at once. Fuller blocks pay the
 # per-primitive overhead less often: in a timing of 128, 512, 1024 and 2048-token
 # no-grad chunks on the benchmark's eval and teacher texts, 512 was fastest.
@@ -309,25 +309,35 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(n * t, heads * hd)
 
 
+def length_chunks(lengths: Sequence[int]) -> list[list[int]]:
+    """Indices of sequences of the given lengths in chunks of one length (shortest
+    first, input order within), each at most MAX_FORWARD_TOKENS tokens or one
+    sequence. Equal lengths need no padding. Rows round as each sequence alone
+    would, for the configs the tests pin and the benchmark teacher, not for every
+    shape (README, "Shape caveat"); one-token chunks too, as matmul gives each
+    one-row segment its own product and a one-position softmax is exactly 1."""
+    by_len: dict[int, list[int]] = {}
+    for i, t in enumerate(lengths):
+        by_len.setdefault(t, []).append(i)
+    chunks = []
+    for t, idx in sorted(by_len.items()):
+        per = max(1, MAX_FORWARD_TOKENS // t)
+        chunks += [idx[s : s + per] for s in range(0, len(idx), per)]
+    return chunks
+
+
 def _length_blocks(lengths: Sequence[int]) -> list[tuple[int, slice | np.ndarray, slice | np.ndarray]]:
-    """(number of sequences, their rows, their indices) per block of sequences of
-    one length, lengths in order of first appearance, each length's sequences in
-    order and in blocks of at most MAX_FORWARD_TOKENS rows or one sequence.
+    """(number of sequences, their rows, their indices) per length_chunks chunk.
     Consecutive sequences are selected by slices, others by index arrays."""
     if len(set(lengths)) == 1 and sum(lengths) <= MAX_FORWARD_TOKENS:  # one block, as every no-grad chunk
         return [(len(lengths), slice(None), slice(None))]
-    by_len: dict[int, list[int]] = {}
-    for s, t in enumerate(lengths):
-        by_len.setdefault(t, []).append(s)
     starts = np.cumsum([0, *lengths])
     blocks = []
-    for t, seqs in by_len.items():
-        per = max(1, MAX_FORWARD_TOKENS // t)
-        for b in (seqs[i : i + per] for i in range(0, len(seqs), per)):
-            if b[-1] - b[0] == len(b) - 1:
-                blocks.append((len(b), slice(starts[b[0]], starts[b[-1] + 1]), slice(b[0], b[-1] + 1)))
-            else:
-                blocks.append((len(b), np.concatenate([np.arange(starts[s], starts[s + 1]) for s in b]), np.array(b)))
+    for b in length_chunks(lengths):
+        if b[-1] - b[0] == len(b) - 1:
+            blocks.append((len(b), slice(starts[b[0]], starts[b[-1] + 1]), slice(b[0], b[-1] + 1)))
+        else:
+            blocks.append((len(b), np.concatenate([np.arange(starts[s], starts[s + 1]) for s in b]), np.array(b)))
     return blocks
 
 
@@ -684,7 +694,7 @@ def info_nce(emb: Tensor, b: int, neg_counts: Sequence[int], inv_t: float, in_ba
     first_neg = b + np.cumsum(counts) - counts
     others = np.arange(b - 1 if in_batch else 0)
     nll, groups = np.empty(b, dtype=ev.dtype), []
-    for n in np.unique(counts):
+    for n in sorted(set(neg_counts)):  # np.unique would import numpy.ma: +1.7 MB RSS on numpy 2.4
         qs = np.flatnonzero(counts == n)
         # Row indices of each query's candidates: p_i, its negatives, the other p_j.
         idx = np.concatenate([qs[:, None], first_neg[qs, None] + np.arange(n), others + (others >= qs[:, None])], axis=1)

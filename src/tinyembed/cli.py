@@ -158,7 +158,6 @@ def _plan_from_json(path: str) -> tuple[StagePlan, dict]:
             batch_size=raw["batch_size"],
             loss=loss,
             seed=raw["seed"],
-            teacher=raw.get("teacher"),
         )
     except ValueError as e:
         raise UserError(f"plan {path}: {e}") from e
@@ -202,11 +201,9 @@ def cmd_train(args) -> int:
             raise UserError("plan needs model_config (or pass --resume)")
         config = tm.ModelConfig.from_json(_resolve_config_path(raw["model_config"]))
         model = tm.init_model(config, plan.seed)
-    teacher = None
-    if plan.teacher is not None:
-        teacher = tm.load_checkpoint(plan.teacher, trainable=False)
+    teacher = None if raw.get("teacher") is None else tm.load_checkpoint(raw["teacher"], trainable=False)
     samples = _load_training_samples(plan, raw)
-    batches = td.epoch_batches(samples, plan.batch_size, random.Random(plan.seed), plan.epochs, stage=plan.stage)
+    batches = td.epoch_batches(samples, plan.batch_size, random.Random(plan.seed), plan.epochs)
     run_plan = replace(plan, epochs=1)  # epoch reshuffling is baked into the batch list
     _, metrics = train_stage(
         model,
@@ -298,8 +295,8 @@ def cmd_ablate(args) -> int:
     replicates = []
     wins = 0
     for r in range(args.replicates):
-        arm_batches = td.epoch_batches(samples, plan.batch_size, random.Random(plan.seed + 1000 + r), plan.epochs, stage=plan.stage)
-        arm_plan = replace(plan, epochs=1, loss=student_loss, teacher=plan.teacher or str(args.teacher))
+        arm_batches = td.epoch_batches(samples, plan.batch_size, random.Random(plan.seed + 1000 + r), plan.epochs)
+        arm_plan = replace(plan, epochs=1, loss=student_loss)
         result = ev.ablation_distill(pruned, teacher, arm_batches, arm_plan, tasks)
         wins += result["delta"] > 0
         replicates.append(result)

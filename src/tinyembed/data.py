@@ -111,7 +111,6 @@ CANONICAL_FIELDS = {
 @dataclass
 class Batch:
     samples: list[CanonicalSample]
-    stage: int = 1
 
     def __post_init__(self):
         if not self.samples:
@@ -292,7 +291,8 @@ def mine_hard_negatives(
     embedder: Callable[[str], np.ndarray],
     k: int,
     skip_top: int = 1,
-    positive_indices: list[int] | None = None,
+    *,
+    positive_indices: list[int],
 ) -> list[list[str]]:
     """Per query: rank the corpus by cosine similarity, drop the known positive
     and the first skip_top ranks, return the next k texts.
@@ -304,7 +304,7 @@ def mine_hard_negatives(
         raise ValueError("k and skip_top must be >= 0")
     if not corpus:
         raise ValueError("empty corpus")
-    if positive_indices is None or len(positive_indices) != len(queries):
+    if len(positive_indices) != len(queries):
         raise ValueError("positive_indices must give one corpus index per query")
     doc_embs = np.stack([embedder(doc) for doc in corpus])
     # Dropping at most skip_top + 1 ranks leaves k within the first skip_top + k + 1.
@@ -365,9 +365,7 @@ def apply_instructions(
     return replace(sample, query=prefix(sample.query), positive=positive, negatives=negatives)
 
 
-def make_batches(
-    samples: list[CanonicalSample], batch_size: int, rng: random.Random, stage: int = 1
-) -> list[Batch]:
+def make_batches(samples: list[CanonicalSample], batch_size: int, rng: random.Random) -> list[Batch]:
     """Group by (format, source), shuffle within groups, chunk, drop trailing
     singletons, and shuffle the global batch order."""
     if batch_size < 2:
@@ -382,21 +380,19 @@ def make_batches(
         for i in range(0, len(members), batch_size):
             chunk = members[i : i + batch_size]
             if len(chunk) >= 2:
-                batches.append(Batch(chunk, stage=stage))
+                batches.append(Batch(chunk))
     rng.shuffle(batches)
     return batches
 
 
-def epoch_batches(
-    samples: list[CanonicalSample], batch_size: int, rng: random.Random, epochs: int, stage: int = 1
-) -> list[Batch]:
+def epoch_batches(samples: list[CanonicalSample], batch_size: int, rng: random.Random, epochs: int) -> list[Batch]:
     """Independent make_batches shuffles per epoch, concatenated; varies the
     in-batch negative pairings across epochs."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     out: list[Batch] = []
     for _ in range(epochs):
-        out.extend(make_batches(samples, batch_size, rng, stage=stage))
+        out.extend(make_batches(samples, batch_size, rng))
     return out
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -310,16 +310,14 @@ def ablation_distill(
     tasks: list[EvalTask],
 ) -> dict:
     """Train two arms from the same pruned initialization — with distillation
-    (the plan's weight) and without (weight 0, no teacher) — under identical
-    seeds and data, and evaluate both on the same tasks."""
+    (the plan's weight) and without (no teacher) — under identical seeds and
+    data, and evaluate both on the same tasks."""
     if plan.loss.distill_weight <= 0:
         raise ValueError("ablation needs a positive distill_weight for the distilled arm")
     distilled = pruned_init.astype(np.float32)
     plain = pruned_init.astype(np.float32)
-    plan_distilled = replace(plan, teacher=plan.teacher or "teacher")
-    plan_plain = replace(plan, teacher=None, loss=replace(plan.loss, distill_weight=0.0))
-    train_stage(distilled, data, plan_distilled, teacher=teacher)
-    train_stage(plain, data, plan_plain)
+    train_stage(distilled, data, plan, teacher=teacher)
+    train_stage(plain, data, plan)
     with_score = evaluate(distilled, tasks).mean
     without_score = evaluate(plain, tasks).mean
     return {

@@ -8,6 +8,7 @@ projection's input dimension is its row count.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -102,12 +103,7 @@ def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str, tu
 
 def param_count(config: ModelConfig) -> int:
     """Exact parameter count from the config alone, no allocation."""
-    h, m = config.hidden_size, config.mlp_intermediate_size
-    q_dim = config.num_heads * config.head_dim
-    kv_dim = config.num_kv_heads * config.head_dim
-    embedding = config.vocab_size * h
-    per_layer = h * q_dim + 2 * h * kv_dim + q_dim * h + 3 * h * m + 2 * h + 2 * config.head_dim
-    return embedding + config.num_layers * per_layer + h
+    return sum(math.prod(shape) for _, shape, _, _ in param_specs(config))
 
 
 def embedding_param_count(config: ModelConfig) -> int:
@@ -233,26 +229,6 @@ def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder |
     return _forward(model, [tokens], taps)
 
 
-def length_chunks(token_seqs: list[list[int]]) -> list[list[int]]:
-    """Indices of token_seqs split into forward chunks of equal token length (input
-    order within a length), each at most ad.MAX_FORWARD_TOKENS tokens or one sequence.
-
-    Equal lengths need no padding, so no pad position can reach a result. Every
-    row rounds as in a forward of its sequence alone for the configs the tests
-    pin and the benchmark teacher, not for every shape (README, "Shape caveat").
-    """
-    by_len: dict[int, list[int]] = {}
-    for i, seq in enumerate(token_seqs):
-        by_len.setdefault(len(seq), []).append(i)
-    chunks = []
-    for t, idx in sorted(by_len.items()):
-        # numpy sends a one-row matmul to BLAS gemv, which rounds unlike gemm,
-        # so one-token sequences go one at a time.
-        per = 1 if t == 1 else max(1, ad.MAX_FORWARD_TOKENS // t)
-        chunks += [idx[s : s + per] for s in range(0, len(idx), per)]
-    return chunks
-
-
 # Most threads raw_embeddings runs chunks on. The GIL, not the cores, limits
 # them: on 2 cores, two threads embed 1.1-1.4x faster than one for about 35% more
 # CPU, and 3 or 4 were no faster. Each thread holds one chunk's working set.
@@ -272,7 +248,7 @@ def forward_chunks(model: EmbeddingModel, token_seqs: list[list[int]]):
     the taps are the chunk's sequences in index order, len(token_seqs[i]) rows each."""
     for seq in token_seqs:
         _check_tokens(model.config, seq)
-    for idx in length_chunks(token_seqs):
+    for idx in ad.length_chunks([len(seq) for seq in token_seqs]):
         recorder = TapRecorder()
         with ad.no_grad():
             _forward(model, [token_seqs[i] for i in idx], recorder)
@@ -293,7 +269,7 @@ def raw_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) -> np.nda
         _check_terminal_eos(seq)
         _check_tokens(model.config, seq)
     out = np.empty((len(token_seqs), model.config.hidden_size), dtype=model.params["final_norm"].values.dtype)
-    chunks = length_chunks(token_seqs)
+    chunks = ad.length_chunks([len(seq) for seq in token_seqs])
 
     def run(idx: list[int]) -> np.ndarray:
         with ad.no_grad():  # grad mode is per thread

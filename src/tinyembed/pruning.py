@@ -101,7 +101,7 @@ def pruned_config(config: ModelConfig, spec: PruneSpec) -> ModelConfig:
     )
 
 
-def _select_layers(config: ModelConfig, spec: PruneSpec, norms: ChannelNorms | None, strategy: str) -> list[int]:
+def _select_layers(spec: PruneSpec, norms: ChannelNorms | None, strategy: str) -> list[int]:
     if strategy == "first_n":
         return list(range(spec.target_layers))
     if strategy == "norm_change":
@@ -136,7 +136,7 @@ def prune_model(
         kept_hidden = top_k_indices(norms.hidden_norms, spec.target_hidden)
     else:
         kept_hidden = list(range(spec.target_hidden))
-    kept_layers = _select_layers(cfg, spec, norms, layer_strategy)
+    kept_layers = _select_layers(spec, norms, layer_strategy)
     kept_mlp: list[list[int]] = []
     for layer in kept_layers:
         if norms is not None:

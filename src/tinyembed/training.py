@@ -51,7 +51,6 @@ class StagePlan:
     batch_size: int
     loss: LossConfig
     seed: int
-    teacher: str | None = None  # checkpoint path, resolved by the caller
 
     def __post_init__(self):
         if self.stage not in (1, 2):
@@ -147,23 +146,19 @@ def distill_loss(student_embs: Tensor, teacher_embs: np.ndarray | Tensor) -> Ten
 # ---------------------------------------------------------------------------
 
 
+BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01
+
+
 @dataclass
 class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], **kwargs) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros_like(p.values) for k, p in params.items()},
-            v={k: np.zeros_like(p.values) for k, p in params.items()},
-            **kwargs,
-        )
+    def for_params(cls, params: dict[str, Tensor]) -> "OptimizerState":
+        zeros = lambda: {k: np.zeros_like(p.values) for k, p in params.items()}
+        return cls(m=zeros(), v=zeros())
 
 
 def adamw_step(
@@ -174,8 +169,8 @@ def adamw_step(
 ) -> None:
     """Decoupled weight decay Adam update, in place. Missing grads count as zero."""
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - BETA1**state.step
+    bc2 = 1.0 - BETA2**state.step
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -184,11 +179,11 @@ def adamw_step(
             raise ShapeError(f"adamw_step: grad {g.shape} vs param {p.values.shape} for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps) + state.weight_decay * p.values
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS) + WEIGHT_DECAY * p.values
         p.values -= lr * update
 
 
@@ -293,14 +288,13 @@ def train_stage(
 ) -> tuple[EmbeddingModel, list[StepMetrics]]:
     """Run one training stage over pre-built batches.
 
-    When distilling, the teacher first embeds every distinct text without
-    gradients (_teacher_targets). Then per batch: embed every text with the
-    student, apply the matryoshka InfoNCE with in-batch negatives only for
-    retrieval batches, add the weighted distillation MSE, backprop, and take one
-    AdamW step. Deterministic given identical inputs.
+    It distills when given a teacher and a positive distill_weight: the teacher
+    first embeds every distinct text without gradients (_teacher_targets). Then
+    per batch: embed every text with the student, apply the matryoshka InfoNCE
+    with in-batch negatives only for retrieval batches, add the weighted
+    distillation MSE, backprop, and take one AdamW step. Deterministic given
+    identical inputs.
     """
-    if (teacher is None) != (plan.teacher is None):
-        raise ValueError("teacher model must be given exactly when plan.teacher is set")
     if plan.stage == 1 and any(b.format != RETRIEVAL for b in data):
         raise ValueError("stage-1 plans use Retrieval-format data only")
     if teacher is not None and teacher.config.hidden_size < model.config.hidden_size:

@@ -199,7 +199,7 @@ def test_criterion_05_distillation_direction(toy_pipeline):
     for r in range(5):
         batches = td.epoch_batches(arm_data, 16, random.Random(100 + r), epochs=1)
         plan = tt.StagePlan(stage=1, learning_rate=3e-3, epochs=1, batch_size=16,
-                            loss=student_loss, seed=r, teacher="toy-teacher")
+                            loss=student_loss, seed=r)
         result = ev.ablation_distill(toy_pipeline["pruned"], toy_pipeline["teacher"], batches, plan, [task])
         deltas.append(result["delta"])
         if r == 0:

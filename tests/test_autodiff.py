@@ -926,7 +926,7 @@ def test_vjps_in_blocks_bitwise_equal_one_block(dtype, monkeypatch):
             got += [att.values, *att._node.vjp(g)]
         results.append(got)
     assert [b[:2] for b in ad._blocks(seg, rows)] == [[0, 6], [6, 13], [13, 20], [20, 25], [25, 28], [28, 37], [37, 39]]
-    assert [n for n, _, _ in ad._length_blocks(seg)] == [2, 2, 1, 1, 1, 1, 2, 1]
+    assert [n for n, _, _ in ad._length_blocks(seg)] == [1, 2, 2, 2, 1, 1, 1, 1]
     for i, (one, blocked) in enumerate(zip(*results)):
         assert blocked.dtype == dtype
         np.testing.assert_array_equal(blocked, one, err_msg=f"result {i}")

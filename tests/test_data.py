@@ -317,8 +317,6 @@ def test_epoch_batches_varies_composition_across_epochs():
     def key(group):
         return tuple(tuple(s.query for s in b.samples) for b in group)
     assert len({key(g) for g in epoch_groups}) > 1
-    for b in batches:
-        assert b.stage == 1
 
 
 # --- stats and jsonl ----------------------------------------------------------

@@ -186,14 +186,13 @@ def mixed_length_texts(seed=0):
 
 def test_length_chunks_cover_every_index_once_under_the_token_cap():
     seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts()]
-    chunks = tm.length_chunks(seqs)
+    chunks = ad.length_chunks([len(s) for s in seqs])
     assert sorted(i for c in chunks for i in c) == list(range(len(seqs)))
     split = False
     for c in chunks:
         t = len(seqs[c[0]])
         assert all(len(seqs[i]) == t for i in c) and c == sorted(c)
         assert len(c) == 1 or len(c) * t <= ad.MAX_FORWARD_TOKENS
-        assert t > 1 or len(c) == 1
         split |= t == 41 and len(c) < sum(len(s) == 41 for s in seqs)
     assert split
 
@@ -201,12 +200,12 @@ def test_length_chunks_cover_every_index_once_under_the_token_cap():
 def test_length_chunks_fill_each_forward_to_the_token_cap():
     # Every chunk but the last of its length holds MAX_FORWARD_TOKENS // t sequences.
     lengths = [12] * 300 + [16] * 350 + [78] * 20 + [33] * 7 + [1] * 3
-    seqs = [[0] * t for t in np.random.default_rng(4).permutation(lengths)]
+    lengths = [int(t) for t in np.random.default_rng(4).permutation(lengths)]
     last = {}
-    for c in tm.length_chunks(seqs):
-        t = len(seqs[c[0]])
+    for c in ad.length_chunks(lengths):
+        t = lengths[c[0]]
         if t in last:
-            assert len(last[t]) == (1 if t == 1 else ad.MAX_FORWARD_TOKENS // t), t
+            assert len(last[t]) == ad.MAX_FORWARD_TOKENS // t, t
         last[t] = c
     assert sorted(last) == [1, 12, 16, 33, 78]
 
@@ -218,9 +217,11 @@ NARROWING = [(g, n) for g in (1, 2, 4) for n in (0, 1, 2)]
 def test_raw_embeddings_bitwise_equal_one_sequence_at_a_time(group, layers):
     # group: query heads per KV head.
     cfg = replace(WIDE, num_heads=WIDE.num_kv_heads * group, num_layers=layers)
+    seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=1)]
+    # One-token sequences share a chunk.
+    assert any(len(c) >= 2 and len(seqs[c[0]]) == 1 for c in ad.length_chunks([len(s) for s in seqs]))
     for dtype in (np.float32, np.float64):
         m = tm.init_model(cfg, seed=8).astype(dtype)
-        seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=1)]
         got = tm.raw_embeddings(m, seqs)
         with ad.no_grad():
             want = np.stack([raw_sequence_embedding(m, s).values[0] for s in seqs])
@@ -312,7 +313,7 @@ def test_chunk_threads_bitwise_equal_one_thread(monkeypatch, dtype):
     # the chunks as much as it can.
     m = tm.init_model(WIDE, seed=6).astype(dtype)
     seqs = [tokenize(t, WIDE.max_seq_len) for t in mixed_length_texts(seed=3)]
-    assert sum(len(s) == 1 for s in seqs) >= 2 and len(tm.length_chunks(seqs)) > 8
+    assert sum(len(s) == 1 for s in seqs) >= 2 and len(ad.length_chunks([len(s) for s in seqs])) > 8
     monkeypatch.setattr(tm, "_cpu_count", lambda: 1)
     want = tm.raw_embeddings(m, seqs)
     pools = []

@@ -109,8 +109,7 @@ def one_sequence_at_a_time_norms(model, calibration):
 
 
 def test_norms_bitwise_equal_one_sequence_at_a_time_on_mixed_lengths():
-    from tinyembed.autodiff import MAX_FORWARD_TOKENS
-    from tinyembed.model import length_chunks
+    from tinyembed.autodiff import MAX_FORWARD_TOKENS, length_chunks
 
     model = init_model(CFG, seed=7)
     rng = np.random.default_rng(8)
@@ -118,7 +117,7 @@ def test_norms_bitwise_equal_one_sequence_at_a_time_on_mixed_lengths():
     calib += calibration(n=MAX_FORWARD_TOKENS // 20 + 2, seed=9, length=19)  # one length, split by the cap
     calib += [[65], [66]]
     calib = [calib[i] for i in rng.permutation(len(calib))]
-    assert sum(len(calib[c[0]]) == 20 for c in length_chunks(calib)) >= 2
+    assert sum(len(calib[c[0]]) == 20 for c in length_chunks([len(s) for s in calib])) >= 2
     got = tp.collect_activation_norms(model, calib)
     hidden, mlp, delta = one_sequence_at_a_time_norms(model, calib)
     np.testing.assert_array_equal(got.hidden_norms, hidden)

@@ -2,14 +2,19 @@
 
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tinyembed
 from tinyembed import autodiff as ad
 from tinyembed import model as tm
 from tinyembed import training as tt
@@ -355,7 +360,7 @@ def test_adamw_pure_decay():
 
 def test_adamw_step_one_analytic():
     p = {"w": Tensor(np.zeros((1, 1)), requires_grad=True)}
-    state = OptimizerState.for_params(p, weight_decay=0.0)
+    state = OptimizerState.for_params(p)  # weight decay adds exactly 0 at a zero weight
     tt.adamw_step(p, {"w": np.ones((1, 1))}, state, lr=1.0)
     assert abs(p["w"].values[0, 0] - (-1.0 / (1.0 + 1e-8))) < 1e-9
 
@@ -399,14 +404,13 @@ def test_in_batch_policy_observed_through_loss_values():
     # loss is exactly ln(candidate count): ln(B) for retrieval (pos + B-1
     # in-batch), ln(2) for clustering (pos + 1 hard negative, in-batch off).
     model = init_model(STUDENT_CFG, seed=0)
-    retrieval = Batch([rsample(query="x", positive="x") for _ in range(4)], stage=1)
+    retrieval = Batch([rsample(query="x", positive="x") for _ in range(4)])
     _, m = tt.train_stage(model, [retrieval], make_plan(learning_rate=0.0))
     assert abs(m[0].contrastive_loss - math.log(4)) < 1e-4
 
     model = init_model(STUDENT_CFG, seed=0)
     clustering = Batch(
-        [rsample(fmt=CLUSTERING, query="x", positive="x", negatives=["x"], symmetric=True) for _ in range(4)],
-        stage=2,
+        [rsample(fmt=CLUSTERING, query="x", positive="x", negatives=["x"], symmetric=True) for _ in range(4)]
     )
     _, m = tt.train_stage(model, [clustering], make_plan(stage=2, learning_rate=0.0))
     assert abs(m[0].contrastive_loss - math.log(2)) < 1e-4
@@ -426,14 +430,14 @@ def test_teacher_smaller_than_student_rejected():
     teacher = init_model(small, seed=1)
     batch = Batch([rsample(query=f"q{i}") for i in range(2)])
     with pytest.raises(ValueError, match="teacher hidden"):
-        tt.train_stage(model, [batch], make_plan(teacher="x"), teacher=teacher)
+        tt.train_stage(model, [batch], make_plan(), teacher=teacher)
 
 
 def test_no_teacher_equals_lambda_zero_with_teacher():
     data = [Batch([rsample(query=f"q{i}", positive=f"d{i}") for i in range(4)])]
     base = tt.train_stage(init_model(STUDENT_CFG, seed=3), data, make_plan())[1]
     teacher = init_model(STUDENT_CFG, seed=9)
-    plan = make_plan(teacher="ckpt", loss=LossConfig(mrl_dims=(8, 16), distill_weight=0.0))
+    plan = make_plan(loss=LossConfig(mrl_dims=(8, 16), distill_weight=0.0))
     with_t = tt.train_stage(init_model(STUDENT_CFG, seed=3), data, plan, teacher=teacher)[1]
     assert base == with_t
 
@@ -441,7 +445,7 @@ def test_no_teacher_equals_lambda_zero_with_teacher():
 def test_distillation_component_logged_and_positive():
     data = [Batch([rsample(query=f"q{i}", positive=f"d{i}") for i in range(3)])]
     teacher = init_model(STUDENT_CFG, seed=11)
-    plan = make_plan(teacher="ckpt")
+    plan = make_plan()
     _, metrics = tt.train_stage(init_model(STUDENT_CFG, seed=3), data, plan, teacher=teacher)
     assert metrics[0].distill_loss > 0
     assert abs(metrics[0].total_loss - (metrics[0].contrastive_loss + metrics[0].distill_loss)) < 1e-6
@@ -480,7 +484,7 @@ def test_teacher_non_finite_names_the_step_and_leaves_no_thread(monkeypatch):
     data = [Batch([rsample(query=f"q{i}") for i in range(2)]), Batch([rsample(query="q~"), rsample(query="q0")])]
     start = threading.active_count()
     with pytest.raises(ad.NonFiniteError, match="step 2"):
-        tt.train_stage(init_model(STUDENT_CFG, seed=3), data, make_plan(teacher="ckpt"), teacher=teacher)
+        tt.train_stage(init_model(STUDENT_CFG, seed=3), data, make_plan(), teacher=teacher)
     assert threading.active_count() == start
 
 
@@ -502,7 +506,7 @@ def test_the_teacher_embeds_each_text_once_before_the_first_student_forward(monk
     data = [Batch([rsample(query="q0", positive="d"), rsample(query="q1", positive="d")]),
             Batch([rsample(query="q1", positive="d1"), rsample(query="q2", positive="d")])]
     teacher = init_model(STUDENT_CFG, seed=9)
-    tt.train_stage(init_model(STUDENT_CFG, seed=3), data, make_plan(teacher="ckpt", epochs=2), teacher=teacher)
+    tt.train_stage(init_model(STUDENT_CFG, seed=3), data, make_plan(epochs=2), teacher=teacher)
     names = [name for name, _ in calls]
     assert names == ["raw_embeddings"] * 2 + ["raw_sequence_embeddings"] * 4
     embedded = [seq for _, seqs in calls[:2] for seq in seqs]
@@ -521,9 +525,9 @@ def test_every_registered_primitive_is_recorded_by_the_pipeline(monkeypatch):
         return make(op, values, parents, vjp)
 
     monkeypatch.setattr(ad, "_make", spy)
-    data = [Batch([rsample(query=f"q{i}", positive=f"d{i}") for i in range(4)], stage=2)]
+    data = [Batch([rsample(query=f"q{i}", positive=f"d{i}") for i in range(4)])]
     student, teacher = init_model(STUDENT_CFG, seed=3), init_model(STUDENT_CFG, seed=9)
-    tt.train_stage(student, data, make_plan(stage=2, teacher="ckpt"), teacher=teacher)
+    tt.train_stage(student, data, make_plan(stage=2), teacher=teacher)
     seqs = [tokenize(t) for t in ("a", "bc", "def", "ghi")]
     raw_embeddings(student, seqs)
     collect_activation_norms(student, seqs)
@@ -591,13 +595,12 @@ def _mixed_batch(fmt, seed):
     for i in range(4):
         negs = [] if fmt == RETRIEVAL and i % 2 else [next(texts) for _ in range(1 + i % 3)]
         samples.append(rsample(fmt=fmt, query=next(texts), positive=next(texts), negatives=negs))
-    return Batch(samples, stage=2)
+    return Batch(samples)
 
 
 def _run_both(batch, dtype, with_teacher, steps=3):
     """Yield (step, packed model, per-text model) after each of `steps` steps."""
-    plan = make_plan(stage=2, learning_rate=3e-3, teacher="ckpt" if with_teacher else None,
-                     loss=LossConfig(mrl_dims=(8, 16, 32)))
+    plan = make_plan(stage=2, learning_rate=3e-3, loss=LossConfig(mrl_dims=(8, 16, 32)))
     teacher = init_model(PACKED_TEACHER_CFG, seed=4).astype(dtype) if with_teacher else None
     packed, ref = (init_model(PACKED_CFG, seed=2).astype(dtype) for _ in range(2))
     packed_opt, ref_opt = (OptimizerState.for_params(m.parameters()) for m in (packed, ref))
@@ -619,7 +622,7 @@ def test_packed_step_bitwise_equals_per_text_step(case, dtype):
     fmt = CLUSTERING if case.startswith("clustering") else RETRIEVAL
     batch = _mixed_batch(fmt, seed=len(fmt))
     if case == "retrieval-in-batch-only":
-        batch = Batch([rsample(query=s.query, positive=s.positive) for s in batch.samples], stage=1)
+        batch = Batch([rsample(query=s.query, positive=s.positive) for s in batch.samples])
     for step, packed, ref in _run_both(batch, dtype, with_teacher=case.endswith("teacher")):
         for name, p in packed.params.items():
             want = ref.params[name]
@@ -647,7 +650,7 @@ def test_packed_step_matches_per_text_step_with_explicit_negatives_and_no_teache
 def _step_graph(dtype, with_teacher):
     """The loss of one packed _train_step, before backward, and the student's
     parameters (no AdamW update, so the graph's weights stay as recorded)."""
-    plan = make_plan(stage=2, teacher="ckpt" if with_teacher else None, loss=LossConfig(mrl_dims=(8, 16, 32)))
+    plan = make_plan(stage=2, loss=LossConfig(mrl_dims=(8, 16, 32)))
     teacher = init_model(PACKED_TEACHER_CFG, seed=4).astype(dtype) if with_teacher else None
     model = init_model(PACKED_CFG, seed=2).astype(dtype)
     losses = []
@@ -676,7 +679,7 @@ def test_a_trained_model_is_freed_without_the_cyclic_collector():
     # A graph node reaches its leaf tensor through a weak reference: a strong one
     # would make a tensor-node cycle that keeps each run's model and last graph
     # alive until a full collection.
-    plan = make_plan(stage=2, teacher="ckpt", loss=LossConfig(mrl_dims=(8, 16, 32)), epochs=2)
+    plan = make_plan(stage=2, loss=LossConfig(mrl_dims=(8, 16, 32)), epochs=2)
     teacher = init_model(PACKED_TEACHER_CFG, seed=4)
     gc.collect()
     gc.disable()
@@ -718,3 +721,43 @@ def test_packed_step_memory_stays_near_its_node_values():
     values += sum(4 * n.shape[0] * n.parents[1].shape[1] * n.dtype.itemsize for n in nodes if n.op == "gated_mlp")
     assert (peak - live) / values < 0.5
     assert peak / values < 1.26  # the peak with the chains
+
+
+_NUMPY_MA_SCRIPT = """
+import sys
+from tinyembed import evaluation as ev, model as tm, synthetic as syn, training as tt
+from tinyembed.data import CLUSTERING, RETRIEVAL, Batch, CanonicalSample
+
+cfg = tm.ModelConfig(hidden_size=16, mlp_intermediate_size=32, num_layers=1, num_heads=2, num_kv_heads=1,
+                     head_dim=4, vocab_size=258, max_seq_len=32)
+
+
+def batch(fmt, negatives):
+    return Batch([CanonicalSample(format=fmt, query=f"q{i}", positive=f"d{i}", negatives=negatives(i), source="s",
+                                  task_type="t", symmetric=False) for i in range(4)])
+
+
+def plan(stage):
+    return tt.StagePlan(stage=stage, learning_rate=1e-3, epochs=1, batch_size=4,
+                        loss=tt.LossConfig(mrl_dims=(8, 16)), seed=0)
+
+
+tt.train_stage(tm.init_model(cfg, 1), [batch(RETRIEVAL, lambda i: [])], plan(1))
+teacher = tm.init_model(cfg, 2)
+tt.train_stage(tm.init_model(cfg, 1), [batch(CLUSTERING, lambda i: ["n"] * (1 + i % 2))], plan(2), teacher=teacher)
+tasks = [syn.retrieval_eval_task("retrieval", 8, 4, 3), syn.sts_eval_task("sts", 8, 4),
+         syn.pair_classification_eval_task("pairs", 8, 4, 5)]
+report = ev.evaluate(teacher, tasks)
+assert sorted(s.kind for s in report.scores) == ["PairClassification", "Retrieval", "STS"]
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_pipeline_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 1.7 MB of resident
+    # memory on numpy 2.4. A process of its own, as scipy.stats imports it here.
+    src = str(Path(tinyembed.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _NUMPY_MA_SCRIPT], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert run.stdout.split() == ["False"], run.stdout
