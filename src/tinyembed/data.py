@@ -294,11 +294,13 @@ def mine_hard_negatives(
     *,
     positive_indices: list[int],
 ) -> list[list[str]]:
-    """Per query: rank the corpus by cosine similarity, drop the known positive
-    and the first skip_top ranks, return the next k texts.
+    """Per query: rank the distinct corpus texts by cosine similarity, drop the
+    known positive's text and the first skip_top ranks, return the next k texts.
 
     The embedder must return unit vectors. positive_indices gives each query's
     known positive as an index into `corpus` (required so it can be excluded).
+    A text that appears several times in `corpus` is ranked once, so no copy of
+    a positive comes back and no text comes back twice.
     """
     if k < 0 or skip_top < 0:
         raise ValueError("k and skip_top must be >= 0")
@@ -306,13 +308,15 @@ def mine_hard_negatives(
         raise ValueError("empty corpus")
     if len(positive_indices) != len(queries):
         raise ValueError("positive_indices must give one corpus index per query")
-    doc_embs = np.stack([embedder(doc) for doc in corpus])
+    texts = list(dict.fromkeys(corpus))
+    slot = {text: j for j, text in enumerate(texts)}
+    doc_embs = np.stack([embedder(doc) for doc in texts])
     # Dropping at most skip_top + 1 ranks leaves k within the first skip_top + k + 1.
     orders = top_ranks(doc_embs, [embedder(query) for query in queries], skip_top + k + 1)
     out: list[list[str]] = []
     for order, pos_idx in zip(orders, positive_indices):
-        excluded = {*order[:skip_top], pos_idx}
-        out.append([corpus[j] for j in order if j not in excluded][:k])
+        excluded = {*order[:skip_top], slot[corpus[pos_idx]]}
+        out.append([texts[j] for j in order if j not in excluded][:k])
     return out
 
 

@@ -157,9 +157,10 @@ class TapRecorder:
 
 
 def _check_tokens(cfg: ModelConfig, tokens: list[int]) -> None:
-    for pos, t in enumerate(tokens):
-        if not 0 <= t < cfg.vocab_size:
-            raise ValueError(f"token id {t} at position {pos} out of range for vocab {cfg.vocab_size}")
+    # The range test runs at C speed; the loop only names the first bad position.
+    if tokens and not (min(tokens) >= 0 and max(tokens) < cfg.vocab_size):
+        pos, t = next((pos, t) for pos, t in enumerate(tokens) if not 0 <= t < cfg.vocab_size)
+        raise ValueError(f"token id {t} at position {pos} out of range for vocab {cfg.vocab_size}")
     if len(tokens) > cfg.max_seq_len:
         raise ValueError(f"sequence length {len(tokens)} exceeds max_seq_len {cfg.max_seq_len}")
     if not tokens:

@@ -711,6 +711,7 @@ def test_rms_norm_bitwise_equals_previous_expression():
         for rows, cols, group, segments in (
             (1, 16, None, None), (1, 16, 4, None), (9, 64, None, None), (9, 64, 16, None),
             (9, 64, None, (3, 1, 5)), (9, 64, 16, (1, 8)), (512, 64, None, (128,) * 4), (512, 64, 16, None),
+            (9, 48, 24, (4, 5)), (7, 24, None, None), (9, 24, 3, None), (5, 21, 7, (2, 3)), (3, 7, None, None),
         ):
             x = (rng.standard_normal((rows, cols)) * 3).astype(dtype)
             gain = rng.standard_normal(cols if group is None else group).astype(dtype)
@@ -979,6 +980,76 @@ def test_attention_scores_that_overflow_raise_naming_causal_attention(dtype):
             q, k, v = (Tensor(x.copy(), requires_grad=True) for x in (q0[[2, 5]] if last_query else q0, k0, v0))
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFiniteError, match="causal_attention"):
                 ad.causal_attention(q, k, v, head_dim=2, lengths=lengths, last_query=last_query)
+
+
+# --- the softmax row max: halving np.maximum against ndarray.max -------------
+
+
+def _bits(x):
+    return x.view(np.uint32 if x.dtype == np.float32 else np.uint64)
+
+
+def _score_rows(rng, width, dtype):
+    """(2, 5, width) score rows: plain, causally masked, one NaN, +inf and -inf
+    entries, all -inf, the max in the last column, the max in column 0, and
+    +inf beside -inf."""
+    rows = rng.standard_normal((10, width)) * 4
+    rows[1, rng.integers(1, width + 1) :] = -np.inf
+    rows[2, rng.integers(width)] = np.nan
+    rows[3, rng.integers(width)] = np.inf
+    rows[4, rng.integers(width)] = -np.inf
+    rows[5] = -np.inf
+    rows[6, -1] = 100.0
+    rows[7, 0] = 100.0
+    rows[8, :: 2] = np.inf
+    rows[8, 1 :: 2] = -np.inf
+    rows[9, rng.integers(width)] = -np.inf
+    rows[9, rng.integers(width)] = np.inf
+    return rows.astype(dtype).reshape(2, 5, width)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_max_bitwise_equals_max_at_every_width(dtype):
+    rng = np.random.default_rng(25)
+    for width in range(1, 98):
+        p = _score_rows(rng, width, dtype)
+        before = p.copy()
+        got, want = ad._row_max(p), p.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"width {width}")
+        assert np.isnan(got[0, 2, 0]) and got[1, 0, 0] == -np.inf  # NaN stays NaN, all -inf stays -inf
+        np.testing.assert_array_equal(_bits(p), _bits(before), err_msg=f"width {width}: input written")
+        assert not np.shares_memory(got, p)
+
+
+def _softmax_in_place(p, row_max):
+    """The attention softmax's steps, with the given row max."""
+    p = p.copy()
+    p -= row_max(p)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_on_the_halving_row_max_bitwise_equals_max(dtype):
+    # Rows whose max is +0 or -0, reached by either sign first, next to masked
+    # entries: the subtraction may flip the sign of a zero, and exp maps both to 1.
+    rng = np.random.default_rng(26)
+    for width in range(1, 98):
+        rows = -np.abs(rng.standard_normal((8, width))) - 0.5
+        signed = np.where(rng.random((8, width)) < 0.5, 0.0, -0.0)
+        zero_cols = rng.random((8, width)) < 0.3
+        zero_cols[:, rng.integers(width)] = True
+        rows[:6] = np.where(zero_cols[:6], signed[:6], rows[:6])
+        rows[2:4, rng.integers(1, width + 1) :] = -np.inf
+        rows[2:4, 0] = signed[2:4, 0]
+        rows[6:] = rng.standard_normal((2, width))  # plain rows beside them
+        p = rows.astype(dtype).reshape(2, 4, width)
+        assert (ad._row_max(p)[:, :, 0] == p.max(axis=-1)).all()
+        got = _softmax_in_place(p, ad._row_max)
+        want = _softmax_in_place(p, lambda x: x.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"width {width}")
 
 
 # --- grad_check behavior ----------------------------------------------------

@@ -209,6 +209,29 @@ def test_mine_tied_similarities_match_key_sort():
             assert mined == [corpus[j] for j in order if j not in excluded][:k]
 
 
+def test_mine_never_returns_a_copy_of_the_positive_or_a_text_twice():
+    # Samples that share a positive text put it in the corpus more than once.
+    sims = {"P": 0.9, "E": 0.5}
+    out = td.mine_hard_negatives(
+        ["q1", "q2", "q1"], ["P", "P", "E"], fake_embedder(sims), k=2, skip_top=0, positive_indices=[0, 1, 2]
+    )
+    assert out == [["E"], ["E"], ["P"]]
+    rng = np.random.default_rng(15)
+    for _ in range(30):
+        texts = [f"doc{j}" for j in range(6)]
+        corpus = [texts[j] for j in rng.integers(0, len(texts), size=12)]
+        sims = {d: float(x) for d, x in zip(texts, rng.uniform(-1, 1, size=len(texts)))}
+        positives = [int(p) for p in rng.integers(0, len(corpus), size=5)]
+        k, skip_top = int(rng.integers(1, 8)), int(rng.integers(0, 3))
+        got = td.mine_hard_negatives([f"q{i}" for i in range(5)], corpus, fake_embedder(sims), k=k,
+                                     skip_top=skip_top, positive_indices=positives)
+        for pos, mined in zip(positives, got):
+            assert corpus[pos] not in mined
+            assert len(mined) == len(set(mined))
+            ranked = sorted(set(corpus), key=lambda d: -sims[d])  # no two similarities tie
+            assert mined == [d for d in ranked[skip_top:] if d != corpus[pos]][:k]
+
+
 # --- capping -----------------------------------------------------------------
 
 

@@ -120,6 +120,10 @@ def test_out_of_range_token_names_position():
     m = tm.init_model(TINY, seed=0)
     with pytest.raises(ValueError, match="position 1"):
         tm.forward_hidden(m, [5, 999, 4])
+    v = TINY.vocab_size
+    for tokens, pos, bad in (([5, 4, -1], 2, -1), ([v, 4], 0, v), ([5, v - 1, v], 2, v), ([3, -2, 7, v + 3], 1, -2)):
+        with pytest.raises(ValueError, match=f"token id {bad} at position {pos} out of range"):
+            tm.forward_hidden(m, tokens)
 
 
 def test_embed_sequence_unit_norm_and_eos_row():
