@@ -2,7 +2,7 @@
 activation-norm structured pruning, teacher-embedding distillation, and a
 retrieval/STS/pair-classification evaluation harness."""
 
-from .autodiff import Tensor, backward, grad_check, no_grad, primitive_set
+from .autodiff import Tensor, backward, no_grad, primitive_set
 from .data import (
     CLUSTERING,
     PAIR_CLASSIFICATION,
@@ -22,7 +22,6 @@ from .evaluation import EvalTask, ablation_distill, evaluate, mrl_sweep, ndcg_at
 from .model import (
     EmbeddingModel,
     ModelConfig,
-    embed_texts,
     forward_hidden,
     init_model,
     load_checkpoint,

@@ -27,11 +27,14 @@ import threading
 import weakref
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+
+# Added to the mean square under every rms_norm's square root.
+RMS_EPS = 1e-6
 
 # Most rows one block of whole sequences holds: a no-grad forward chunk
 # (length_chunks), an attention block, a block of gated_mlp's vjp. It
@@ -47,10 +50,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """Raised when a primitive produces NaN or Inf."""
-
-
-class GradientCheckError(AssertionError):
-    """Raised when analytic and finite-difference gradients disagree."""
 
 
 class _GradMode(threading.local):
@@ -83,7 +82,7 @@ class Tensor:
     `requires_grad` marks trainable leaves and propagates through primitives.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "op", "_node", "__weakref__")
+    __slots__ = ("values", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values)
@@ -92,7 +91,6 @@ class Tensor:
         self.values = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.op = "leaf"
         self._node: Node | None = None
 
     @property
@@ -104,7 +102,7 @@ class Tensor:
         return self.values.dtype
 
     def __repr__(self) -> str:
-        return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Node:
@@ -129,7 +127,7 @@ class Node:
 def _node_of(t: Tensor) -> Node:
     """t's node; a tensor no primitive recorded gets a leaf node on first use."""
     if t._node is None:
-        t._node = Node(t.op, (), None, t.values.shape, t.values.dtype, weakref.ref(t))
+        t._node = Node("leaf", (), None, t.values.shape, t.values.dtype, weakref.ref(t))
     return t._node
 
 
@@ -159,7 +157,6 @@ def _make(op: str, values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tens
     out = Tensor.__new__(Tensor)
     out.values = values
     out.grad = None
-    out.op = op
     out.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
     out._node = Node(op, tuple(map(_node_of, parents)), vjp, values.shape, values.dtype) if out.requires_grad else None
     return out
@@ -477,9 +474,7 @@ def causal_attention(
 
 
 @_primitive("rms_norm", "RMS normalization over each row (or row group) with a learned gain")
-def rms_norm(
-    a: Tensor, gain: Tensor, eps: float = 1e-6, group_size: int | None = None, segments: Sequence[int] | None = None
-) -> Tensor:
+def rms_norm(a: Tensor, gain: Tensor, group_size: int | None = None, segments: Sequence[int] | None = None) -> Tensor:
     """With segments (row counts of stacked sequences), the gain gradient is the
     sum of per-segment sums, as separate per-sequence graphs would add it: one
     sum per run of equal-length segments, added in order as in matmul. The vjp
@@ -497,7 +492,7 @@ def rms_norm(
     # by size that rounds as mean's float64 one does once rounded back.
     inv = np.add.reduce(y, axis=2, keepdims=True)
     inv /= size
-    inv += eps
+    inv += RMS_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     gv = gain.values
@@ -739,24 +734,16 @@ def info_nce(emb: Tensor, b: int, neg_counts: Sequence[int], inv_t: float, in_ba
     return _make("info_nce", np.cumsum(nll)[-1] * (1.0 / b), (emb,), vjp)
 
 
-_rope_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=256)
 def _rope_tables(n_pos: int, head_dim: int, heads: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(n_pos, heads * head_dim) tables for positions 0..n_pos-1: cos of each
     pair's angle in both halves of every head, and -sin in the first half, sin
-    in the second."""
-    key = (n_pos, head_dim, heads, base, np.dtype(dtype).str)
-    hit = _rope_cache.get(key)
-    if hit is None:
-        half = head_dim // 2
-        freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
-        angles = np.arange(n_pos, dtype=np.float64)[:, None] * freqs[None, :]
-        cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-        hit = (np.tile(np.hstack([cos, cos]), heads), np.tile(np.hstack([-sin, sin]), heads))
-        if len(_rope_cache) < 256:
-            _rope_cache[key] = hit
-    return hit
+    in the second (cached: read only)."""
+    half = head_dim // 2
+    freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
+    angles = np.arange(n_pos, dtype=np.float64)[:, None] * freqs[None, :]
+    cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    return np.tile(np.hstack([cos, cos]), heads), np.tile(np.hstack([-sin, sin]), heads)
 
 
 def _swap_halves(x: np.ndarray, head_dim: int) -> np.ndarray:
@@ -800,7 +787,7 @@ def rope(a: Tensor, head_dim: int, base: float = 10000.0, positions: Sequence[in
 
 
 # ---------------------------------------------------------------------------
-# Backward pass and gradient checking
+# Backward pass
 # ---------------------------------------------------------------------------
 
 
@@ -884,50 +871,3 @@ def _propagate(node: Node) -> None:
         else:
             parent.grad += g
 
-
-def grad_check(
-    fn: Callable[[Tensor], Tensor],
-    point: Tensor,
-    tolerance: float,
-    step: float = 1e-4,
-    max_coords: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Compare analytic gradients of `fn` against central finite differences.
-
-    Runs in float64 regardless of the point's dtype. Checks every coordinate
-    unless `max_coords` caps it, in which case a seeded uniform sample of
-    coordinates is checked (needed to keep whole-model checks affordable).
-    Returns the max of |analytic - numeric| / max(1, |numeric|) over checked
-    coordinates; raises GradientCheckError if it exceeds `tolerance`.
-    """
-    x64 = np.asarray(point.values, dtype=np.float64)
-    leaf = Tensor(x64.copy(), requires_grad=True)
-    loss = fn(leaf)
-    if loss.values.shape != ():
-        raise ShapeError(f"grad_check: fn must return a scalar, got shape {loss.values.shape}")
-    backward(loss)
-    analytic = np.zeros_like(x64) if leaf.grad is None else leaf.grad
-    flat = x64.reshape(-1)
-    n = flat.size
-    if max_coords is not None and max_coords < n:
-        coords = np.random.default_rng(seed).choice(n, size=max_coords, replace=False)
-    else:
-        coords = np.arange(n)
-    a_flat = analytic.reshape(-1)
-    worst = 0.0
-    with no_grad():
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = float(fn(Tensor(x64)).values)
-            flat[i] = orig - step
-            f_minus = float(fn(Tensor(x64)).values)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            rel = abs(a_flat[i] - numeric) / max(1.0, abs(numeric))
-            if rel > worst:
-                worst = rel
-    if worst > tolerance:
-        raise GradientCheckError(f"gradient check failed: max relative error {worst:.3e} > {tolerance:.3e}")
-    return worst

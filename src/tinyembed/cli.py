@@ -22,7 +22,7 @@ from .autodiff import NonFiniteError
 from .data import SchemaError
 from .pruning import PruneSpec, prune_model
 from .tokenizer import tokenize
-from .training import LossConfig, StagePlan, train_stage
+from .training import LossConfig, StagePlan, train_stage, truncate_and_renorm_array, write_metrics_csv
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -76,7 +76,7 @@ def cmd_consolidate(args) -> int:
                 if td.is_classed(record):
                     classed.append(record)
                 else:
-                    samples.append(td.consolidate(record, record.get("task_type", ""), rng))
+                    samples.append(td.consolidate(record, rng))
             except SchemaError as e:
                 raise SchemaError(f"{path}:{lineno}: {e}") from e
     samples.extend(td.consolidate_records(classed, rng))
@@ -106,7 +106,8 @@ def cmd_mine(args) -> int:
     corpus = [s.positive for s in samples]
     queries = [s.query for s in samples]
     texts = list(dict.fromkeys(corpus + queries))
-    units = dict(zip(texts, tm.embed_texts(model, texts)))
+    raw = tm.raw_embeddings(model, [tokenize(t, model.config.max_seq_len) for t in texts])
+    units = dict(zip(texts, truncate_and_renorm_array(raw, raw.shape[1])))
     mined = td.mine_hard_negatives(
         queries, corpus, units.__getitem__, k=args.k, skip_top=args.skip_top, positive_indices=list(range(len(samples)))
     )
@@ -147,9 +148,8 @@ def _plan_from_json(path: str) -> tuple[StagePlan, dict]:
     try:
         loss = LossConfig(
             mrl_dims=tuple(raw["mrl_dims"]),
-            temperature=raw.get("temperature", 0.05),
-            mrl_weights=tuple(raw["mrl_weights"]) if raw.get("mrl_weights") else None,
-            distill_weight=raw.get("distill_weight", 1.0),
+            mrl_weights=None if raw.get("mrl_weights") is None else tuple(raw["mrl_weights"]),
+            **{k: raw[k] for k in ("temperature", "distill_weight") if k in raw},
         )
         plan = StagePlan(
             stage=raw["stage"],
@@ -159,6 +159,8 @@ def _plan_from_json(path: str) -> tuple[StagePlan, dict]:
             loss=loss,
             seed=raw["seed"],
         )
+        if "p_doc" in raw and not 0 <= raw["p_doc"] <= 1:  # also true for NaN
+            raise ValueError(f"p_doc must be in [0, 1], got {raw['p_doc']!r}")
     except ValueError as e:
         raise UserError(f"plan {path}: {e}") from e
     return plan, raw
@@ -205,15 +207,9 @@ def cmd_train(args) -> int:
     samples = _load_training_samples(plan, raw)
     batches = td.epoch_batches(samples, plan.batch_size, random.Random(plan.seed), plan.epochs)
     run_plan = replace(plan, epochs=1)  # epoch reshuffling is baked into the batch list
-    _, metrics = train_stage(
-        model,
-        batches,
-        run_plan,
-        teacher=teacher,
-        checkpoint_dir=out / "checkpoint",
-        metrics_path=out / "metrics.csv",
-        start_step=start_step,
-    )
+    _, metrics = train_stage(model, batches, run_plan, teacher=teacher, start_step=start_step)
+    write_metrics_csv(out / "metrics.csv", metrics)
+    tm.save_checkpoint(model, out / "checkpoint")
     _write_json(out / "checkpoint" / "training_state.json", {"step": metrics[-1].step if metrics else start_step})
     print(f"trained {len(metrics)} steps; final loss {metrics[-1].total_loss:.6f}" if metrics else "no steps run")
     return 0

@@ -87,10 +87,6 @@ class CanonicalSample:
         if self.format in (CLUSTERING, PAIR_CLASSIFICATION) and not self.negatives:
             raise ValueError(f"{self.format} samples need at least one explicit negative")
 
-    @property
-    def uses_in_batch_negatives(self) -> bool:
-        return self.format == RETRIEVAL
-
     def to_json(self) -> str:
         # vars, not asdict: asdict deep-copies every field of every sample.
         return json.dumps(vars(self), ensure_ascii=False, sort_keys=True)
@@ -164,7 +160,7 @@ def _is_symmetric(task_kind: str) -> bool:
     return task_kind.lower() in SYMMETRIC_TASK_KINDS
 
 
-def consolidate(record: dict, task_kind: str, rng: random.Random) -> CanonicalSample:
+def consolidate(record: dict, rng: random.Random) -> CanonicalSample:
     """Map one raw record into a canonical sample.
 
     Retrieval records map directly; grouped class-labeled records map by
@@ -174,7 +170,7 @@ def consolidate(record: dict, task_kind: str, rng: random.Random) -> CanonicalSa
     """
     if "query" in record:
         _require(record, ("query", "pos", "negs", "symmetric", "source", "task_type"), "retrieval")
-        kind = record["task_type"] or task_kind
+        kind = record["task_type"]
         return CanonicalSample(
             format=RETRIEVAL,
             query=record["query"],
@@ -190,7 +186,7 @@ def consolidate(record: dict, task_kind: str, rng: random.Random) -> CanonicalSa
         if len(labels) != 2 or record["label"] not in labels:
             raise SchemaError(f"binary record needs 2 labels containing {record['label']!r}")
         opposite = labels[1] if record["label"] == labels[0] else labels[0]
-        kind = record["task_type"] or task_kind
+        kind = record["task_type"]
         return CanonicalSample(
             format=PAIR_CLASSIFICATION,
             query=record["text"],
@@ -202,8 +198,7 @@ def consolidate(record: dict, task_kind: str, rng: random.Random) -> CanonicalSa
         )
     if "classes" in record:
         _require(record, ("anchor", "classes", "source", "task_type"), "classed")
-        kind = record["task_type"] or task_kind
-        return _clustering_samples([record["anchor"]], record["classes"], record["source"], kind, rng)[0]
+        return _clustering_samples([record["anchor"]], record["classes"], record["source"], record["task_type"], rng)[0]
     raise SchemaError("unknown schema: record has none of the fields query / label / classes")
 
 
@@ -264,7 +259,7 @@ def consolidate_records(records: Iterable[dict], rng: random.Random) -> list[Can
         if is_classed(record):
             classed[(record["source"], record["task_type"])][record["class"]].append(record["text"])
         else:
-            samples.append(consolidate(record, record.get("task_type", ""), rng))
+            samples.append(consolidate(record, rng))
     for (source, task_type), classes in classed.items():
         if len(classes) < 2:
             continue

@@ -19,9 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import SchemaError, check_fields
-from .tokenizer import EOS_ID, tokenize
+from .tokenizer import EOS_ID
 
-RMS_EPS = 1e-6
 INIT_STD = 0.02
 
 
@@ -117,9 +116,6 @@ class EmbeddingModel:
         self.config = config
         self.params = params
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def astype(self, dtype) -> "EmbeddingModel":
         params = {
             name: Tensor(t.values.astype(dtype), requires_grad=t.requires_grad)
@@ -198,22 +194,22 @@ def _forward(model: EmbeddingModel, seqs: list[list[int]], taps: TapRecorder | N
         taps.embedding = h.values.copy()
     for i in range(cfg.num_layers):
         lp = f"layers.{i}."
-        x = ad.rms_norm(h, p[lp + "attn_norm"], eps=RMS_EPS, segments=seg)
+        x = ad.rms_norm(h, p[lp + "attn_norm"], segments=seg)
         k = ad.matmul(x, p[lp + "k_proj"], segments=seg)
         v = ad.matmul(x, p[lp + "v_proj"], segments=seg)
-        k = ad.rms_norm(k, p[lp + "k_norm"], eps=RMS_EPS, group_size=hd, segments=seg)
+        k = ad.rms_norm(k, p[lp + "k_norm"], group_size=hd, segments=seg)
         k = ad.rope(k, hd, base=cfg.rope_base, positions=positions)
         if i == narrow_at:
             # One row per sequence: no segments, so its products stay one gemm.
             h, x = ad.gather_rows(h, ends), ad.gather_rows(x, ends)
             q_seg, q_pos = None, positions[ends]
         q = ad.matmul(x, p[lp + "q_proj"], segments=q_seg)
-        q = ad.rms_norm(q, p[lp + "q_norm"], eps=RMS_EPS, group_size=hd, segments=q_seg)
+        q = ad.rms_norm(q, p[lp + "q_norm"], group_size=hd, segments=q_seg)
         q = ad.rope(q, hd, base=cfg.rope_base, positions=q_pos)
         q = ad.scale(q, hd**-0.5)
         attn = ad.causal_attention(q, k, v, hd, lengths=seg, last_query=q_seg is None)
         h = ad.add(h, ad.matmul(attn, p[lp + "o_proj"], segments=q_seg))
-        x = ad.rms_norm(h, p[lp + "mlp_norm"], eps=RMS_EPS, segments=q_seg)
+        x = ad.rms_norm(h, p[lp + "mlp_norm"], segments=q_seg)
         mlp_weights = (p[lp + "gate_proj"], p[lp + "up_proj"], p[lp + "down_proj"])
         acts = None if taps is None else taps.mlp_act
         h = ad.add(h, ad.gated_mlp(x, *mlp_weights, segments=q_seg, acts=acts))
@@ -221,13 +217,13 @@ def _forward(model: EmbeddingModel, seqs: list[list[int]], taps: TapRecorder | N
             taps.residual.append(h.values.copy())
     if eos_only and q_seg is not None:
         h, q_seg = ad.gather_rows(h, ends), None
-    return ad.rms_norm(h, p["final_norm"], eps=RMS_EPS, segments=q_seg)
+    return ad.rms_norm(h, p["final_norm"], segments=q_seg)
 
 
-def forward_hidden(model: EmbeddingModel, tokens: list[int], taps: TapRecorder | None = None) -> Tensor:
+def forward_hidden(model: EmbeddingModel, tokens: list[int]) -> Tensor:
     """Hidden-state matrix (seq_len x hidden) with causal attention and final norm."""
     _check_tokens(model.config, tokens)
-    return _forward(model, [tokens], taps)
+    return _forward(model, [tokens], None)
 
 
 # Most threads raw_embeddings runs chunks on. The GIL, not the cores, limits
@@ -306,13 +302,6 @@ def raw_sequence_embeddings(model: EmbeddingModel, token_seqs: list[list[int]]) 
         _check_tokens(model.config, seq)
     h = _forward(model, token_seqs, None)
     return ad.gather_rows(h, np.cumsum([len(seq) for seq in token_seqs]) - 1)
-
-
-def embed_texts(model: EmbeddingModel, texts: list[str]) -> np.ndarray:
-    """Inference-mode unit embeddings of texts, shape (len(texts), hidden)."""
-    raw = raw_embeddings(model, [tokenize(t, model.config.max_seq_len) for t in texts])
-    with ad.no_grad():
-        return ad.l2_normalize_rows(Tensor(raw)).values
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteError, ShapeError, Tensor
 from .data import RETRIEVAL, Batch
-from .model import EmbeddingModel, raw_embeddings, raw_sequence_embeddings, save_checkpoint
+from .model import EmbeddingModel, raw_embeddings, raw_sequence_embeddings
 from .tokenizer import tokenize
 
 
@@ -24,10 +24,11 @@ class LossConfig:
     distill_weight: float = 1.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if self.distill_weight < 0:
-            raise ValueError("distill_weight must be >= 0")
+        # Each range test is also false for NaN.
+        if not 0 < self.temperature < float("inf"):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature!r}")
+        if not 0 <= self.distill_weight < float("inf"):
+            raise ValueError(f"distill_weight must be finite and >= 0, got {self.distill_weight!r}")
         dims = self.mrl_dims
         if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
             raise ValueError("mrl_dims must be non-empty and strictly ascending")
@@ -36,8 +37,8 @@ class LossConfig:
         if self.mrl_weights is not None:
             if len(self.mrl_weights) != len(dims):
                 raise ValueError("mrl_weights must match mrl_dims")
-            if any(w <= 0 for w in self.mrl_weights):
-                raise ValueError("mrl_weights must be positive")
+            if not all(0 < w < float("inf") for w in self.mrl_weights):
+                raise ValueError(f"mrl_weights must be finite and positive, got {list(self.mrl_weights)!r}")
 
     def weights(self) -> tuple[float, ...]:
         return self.mrl_weights if self.mrl_weights is not None else (1.0,) * len(self.mrl_dims)
@@ -128,10 +129,9 @@ def matryoshka_info_nce(
     return ad.scale(total, 1.0 / sum(weights))
 
 
-def distill_loss(student_embs: Tensor, teacher_embs: np.ndarray | Tensor) -> Tensor:
+def distill_loss(student_embs: Tensor, teacher: np.ndarray) -> Tensor:
     """MSE between unit student embeddings and the teacher's embeddings
     truncated-and-renormed to the student dimension."""
-    teacher = teacher_embs.values if isinstance(teacher_embs, Tensor) else np.asarray(teacher_embs)
     d_s = student_embs.shape[1]
     if teacher.ndim != 2 or teacher.shape[0] != student_embs.shape[0]:
         raise ShapeError(f"distill_loss: student {student_embs.shape} vs teacher {teacher.shape}")
@@ -272,7 +272,7 @@ def _train_step(
         ad.backward(total)
     except NonFiniteError as e:
         raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
-    params = model.parameters()
+    params = model.params
     adamw_step(params, {k: p.grad for k, p in params.items()}, opt, plan.learning_rate)
     return StepMetrics(step, float(total.values), float(contrastive.values), dval)
 
@@ -282,11 +282,10 @@ def train_stage(
     data: list[Batch],
     plan: StagePlan,
     teacher: EmbeddingModel | None = None,
-    checkpoint_dir: str | Path | None = None,
-    metrics_path: str | Path | None = None,
     start_step: int = 0,
 ) -> tuple[EmbeddingModel, list[StepMetrics]]:
-    """Run one training stage over pre-built batches.
+    """Run one training stage over pre-built batches, updating model in place.
+    It writes no files: the caller saves the metrics and the checkpoint.
 
     It distills when given a teacher and a positive distill_weight: the teacher
     first embeds every distinct text without gradients (_teacher_targets). Then
@@ -304,7 +303,7 @@ def train_stage(
     targets = None
     if teacher is not None and plan.loss.distill_weight > 0:
         targets = _teacher_targets(teacher, data, start_step)
-    opt = OptimizerState.for_params(model.parameters())
+    opt = OptimizerState.for_params(model.params)
     metrics: list[StepMetrics] = []
     token_cache: dict[str, list[int]] = {}
     step = start_step
@@ -312,8 +311,4 @@ def train_stage(
         for batch in data:
             step += 1
             metrics.append(_train_step(model, batch, plan, opt, step, token_cache, targets))
-    if metrics_path is not None:
-        write_metrics_csv(metrics_path, metrics)
-    if checkpoint_dir is not None:
-        save_checkpoint(model, checkpoint_dir)
     return model, metrics

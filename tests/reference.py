@@ -1,12 +1,13 @@
-"""Test-side autodiff ops, single-text helpers and one-item-at-a-time
-scoring and consolidation: the references the tests compare the pipeline
-against. The ops are built on `ad._make` like any primitive, but the pipeline
-records none of them, so they are not in `ad.primitive_set()`."""
+"""Test-side autodiff ops, the finite-difference gradient check, single-text
+helpers and one-item-at-a-time scoring and consolidation: the references the
+tests compare the pipeline against. The ops are built on `ad._make` like any
+primitive, but the pipeline records none of them, so they are not in
+`ad.primitive_set()`."""
 
 import math
 import random
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -123,6 +124,61 @@ def _nll_grad(p: np.ndarray, t: np.ndarray, g) -> np.ndarray:
     gl = p.copy()
     gl[np.arange(p.shape[0]), t] -= 1.0
     return gl * (g / p.shape[0])
+
+
+# --- gradient checking ------------------------------------------------------------
+
+
+class GradientCheckError(AssertionError):
+    """Raised when analytic and finite-difference gradients disagree."""
+
+
+def grad_check(
+    fn: Callable[[Tensor], Tensor],
+    point: Tensor,
+    tolerance: float,
+    step: float = 1e-4,
+    max_coords: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Compare analytic gradients of `fn` against central finite differences.
+
+    Runs in float64 regardless of the point's dtype. Checks every coordinate
+    unless `max_coords` caps it, in which case a seeded uniform sample of
+    coordinates is checked (needed to keep whole-model checks affordable).
+    Returns the max of |analytic - numeric| / max(1, |numeric|) over checked
+    coordinates; raises GradientCheckError if it exceeds `tolerance`.
+    """
+    x64 = np.asarray(point.values, dtype=np.float64)
+    leaf = Tensor(x64.copy(), requires_grad=True)
+    loss = fn(leaf)
+    if loss.values.shape != ():
+        raise ad.ShapeError(f"grad_check: fn must return a scalar, got shape {loss.values.shape}")
+    ad.backward(loss)
+    analytic = np.zeros_like(x64) if leaf.grad is None else leaf.grad
+    flat = x64.reshape(-1)
+    n = flat.size
+    if max_coords is not None and max_coords < n:
+        coords = np.random.default_rng(seed).choice(n, size=max_coords, replace=False)
+    else:
+        coords = np.arange(n)
+    a_flat = analytic.reshape(-1)
+    worst = 0.0
+    with ad.no_grad():
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + step
+            f_plus = float(fn(Tensor(x64)).values)
+            flat[i] = orig - step
+            f_minus = float(fn(Tensor(x64)).values)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            rel = abs(a_flat[i] - numeric) / max(1.0, abs(numeric))
+            if rel > worst:
+                worst = rel
+    if worst > tolerance:
+        raise GradientCheckError(f"gradient check failed: max relative error {worst:.3e} > {tolerance:.3e}")
+    return worst
 
 
 # --- one text at a time ----------------------------------------------------------
@@ -281,7 +337,7 @@ def consolidate_records(records: Iterable[dict], rng: random.Random) -> list[td.
         if td.is_classed(record):
             classed[(record["source"], record["task_type"])][record["class"]].append(record["text"])
         else:
-            samples.append(td.consolidate(record, record.get("task_type", ""), rng))
+            samples.append(td.consolidate(record, rng))
     for (source, task_type), classes in classed.items():
         if len(classes) < 2:
             continue

@@ -26,7 +26,7 @@ from tinyembed.cli import main as cli_main
 from tinyembed.model import ModelConfig, forward_hidden, init_model, param_count
 from tinyembed.tokenizer import EOS_ID, tokenize
 
-from reference import concat, embed_text, flatten_params, model_from_flat, raw_sequence_embedding
+from reference import concat, embed_text, flatten_params, grad_check, model_from_flat, raw_sequence_embedding
 from test_autodiff import GRAD_CASES
 
 
@@ -66,7 +66,7 @@ def test_criterion_01_gradient_integrity():
     start = time.time()
     for name, (fn, shape, _) in sorted(GRAD_CASES.items()):
         point = Tensor(np.random.default_rng(zlib.crc32(name.encode())).standard_normal(shape))
-        assert ad.grad_check(fn, point, tolerance=1e-3) < 1e-3, name
+        assert grad_check(fn, point, tolerance=1e-3) < 1e-3, name
 
     cfg = ModelConfig(hidden_size=32, mlp_intermediate_size=64, num_layers=2, num_heads=2,
                       num_kv_heads=1, head_dim=8, vocab_size=258, max_seq_len=32)
@@ -90,7 +90,7 @@ def test_criterion_01_gradient_integrity():
         return ad.add(contrastive, ad.scale(distill, loss_cfg.distill_weight))
 
     point = Tensor(flatten_params(student))
-    err = ad.grad_check(total_loss, point, tolerance=1e-3, max_coords=500, seed=0)
+    err = grad_check(total_loss, point, tolerance=1e-3, max_coords=500, seed=0)
     elapsed = time.time() - start
     assert err < 1e-3
     assert elapsed < 30
@@ -242,7 +242,8 @@ def _overfit_run(tmp_path, tag):
     batches = td.epoch_batches(samples, 16, random.Random(0), epochs=75)  # 300 steps
     plan = tt.StagePlan(stage=1, learning_rate=3e-3, epochs=1, batch_size=16,
                         loss=tt.LossConfig(mrl_dims=MRL_DIMS, temperature=0.05), seed=0)
-    _, metrics = tt.train_stage(model, batches, plan, metrics_path=tmp_path / f"{tag}.csv")
+    _, metrics = tt.train_stage(model, batches, plan)
+    tt.write_metrics_csv(tmp_path / f"{tag}.csv", metrics)
     return model, task, metrics
 
 

@@ -10,7 +10,9 @@ import pytest
 from tinyembed import autodiff as ad
 from tinyembed.autodiff import Tensor
 
-from reference import _nll_grad, concat, cross_entropy, mul, reshape, silu, sum_all, transpose
+from reference import (
+    GradientCheckError, _nll_grad, concat, cross_entropy, grad_check, mul, reshape, silu, sum_all, transpose,
+)
 
 
 def leaf(values, requires_grad=True):
@@ -28,7 +30,7 @@ def test_softmax_uniform_on_zeros():
 
 
 def test_rms_norm_constant_vector():
-    out = ad.rms_norm(leaf([[2.0, 2.0, 2.0, 2.0]]), leaf(np.ones(4)), eps=1e-6)
+    out = ad.rms_norm(leaf([[2.0, 2.0, 2.0, 2.0]]), leaf(np.ones(4)))
     np.testing.assert_allclose(out.values, np.ones((1, 4)), atol=1e-6)
 
 
@@ -419,7 +421,7 @@ def test_every_registered_primitive_has_a_grad_case():
 def test_primitive_gradient(name):
     fn, shape, tol = GRAD_CASES[name]
     point = Tensor(np.random.default_rng(zlib.crc32(name.encode())).standard_normal(shape))
-    err = ad.grad_check(fn, point, tolerance=tol)
+    err = grad_check(fn, point, tolerance=tol)
     assert err < tol
 
 
@@ -634,13 +636,13 @@ def _sum_in_order(like, parts):
     return acc
 
 
-def _rms_norm_reference(a, gain, eps=1e-6, group_size=None, segments=None):
+def _rms_norm_reference(a, gain, group_size=None, segments=None):
     av = a.values
     rows, cols = av.shape
     size = cols if group_size is None else group_size
     groups = cols // size
     x = av.reshape(rows, groups, size)
-    inv = 1.0 / np.sqrt((x * x).mean(axis=2, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((x * x).mean(axis=2, keepdims=True) + ad.RMS_EPS)
     gv = gain.values
     y = x * inv * gv
 
@@ -715,7 +717,7 @@ def test_rms_norm_bitwise_equals_previous_expression():
         ):
             x = (rng.standard_normal((rows, cols)) * 3).astype(dtype)
             gain = rng.standard_normal(cols if group is None else group).astype(dtype)
-            kw = dict(eps=1e-6, group_size=group, segments=segments)
+            kw = dict(group_size=group, segments=segments)
             _assert_bitwise_like_reference(
                 lambda a, g: ad.rms_norm(a, g, **kw), lambda a, g: _rms_norm_reference(a, g, **kw),
                 [x, gain], rng, f"{dtype.__name__} rows={rows} cols={cols} group={group} segments={segments}",
@@ -1057,13 +1059,13 @@ def test_softmax_on_the_halving_row_max_bitwise_equals_max(dtype):
 
 def test_grad_check_affine_is_exact():
     fn = lambda x: ad.add(ad.scale(sum_all(x), 3.0), Tensor(np.asarray(1.5)))
-    err = ad.grad_check(fn, Tensor(np.random.default_rng(8).standard_normal((3, 3))), tolerance=1e-10)
+    err = grad_check(fn, Tensor(np.random.default_rng(8).standard_normal((3, 3))), tolerance=1e-10)
     assert err < 1e-10
 
 
 def test_grad_check_softmax_cross_entropy():
     fn = lambda x: cross_entropy(x, [3])
-    err = ad.grad_check(fn, Tensor(np.random.default_rng(9).standard_normal((1, 8))), tolerance=1e-5)
+    err = grad_check(fn, Tensor(np.random.default_rng(9).standard_normal((1, 8))), tolerance=1e-5)
     assert err < 1e-5
 
 
@@ -1076,13 +1078,13 @@ def test_grad_check_raises_on_wrong_gradient():
             wrong._node.parents = (x._node,)
         return wrong
 
-    with pytest.raises(ad.GradientCheckError):
-        ad.grad_check(fn, Tensor(np.ones((2, 2))), tolerance=1e-3)
+    with pytest.raises(GradientCheckError):
+        grad_check(fn, Tensor(np.ones((2, 2))), tolerance=1e-3)
 
 
 def test_grad_check_subsampling_is_deterministic():
     fn = lambda x: sum_all(silu(x))
     pt = Tensor(np.random.default_rng(10).standard_normal((6, 6)))
-    e1 = ad.grad_check(fn, pt, tolerance=1e-4, max_coords=10, seed=3)
-    e2 = ad.grad_check(fn, pt, tolerance=1e-4, max_coords=10, seed=3)
+    e1 = grad_check(fn, pt, tolerance=1e-4, max_coords=10, seed=3)
+    e2 = grad_check(fn, pt, tolerance=1e-4, max_coords=10, seed=3)
     assert e1 == e2

@@ -235,6 +235,16 @@ def test_train_plan_missing_fields_exit_2(tmp_path, capsys):
     ({"data": "canonical.jsonl"}, "data"),
     ({"temprature": 0.05}, "temprature"),
     ({"batch_size": 1}, "batch_size"),
+    ({"temperature": float("nan")}, "temperature"),
+    ({"temperature": float("inf")}, "temperature"),
+    ({"distill_weight": float("nan")}, "distill_weight"),
+    ({"distill_weight": float("inf")}, "distill_weight"),
+    ({"mrl_weights": [1.0, float("nan")]}, "mrl_weights"),
+    ({"mrl_weights": [float("inf"), 1.0]}, "mrl_weights"),
+    ({"mrl_weights": []}, "mrl_weights"),
+    ({"p_doc": 1.5}, "p_doc"),
+    ({"p_doc": -0.1}, "p_doc"),
+    ({"p_doc": float("nan")}, "p_doc"),
 ])
 def test_train_malformed_plan_field_exit_2(tmp_path, capsys, override, field):
     # Rejected before any step runs, naming the plan file and the field.

@@ -31,37 +31,37 @@ def sample(fmt=RETRIEVAL, source="src", negs=None, symmetric=False, task_type="q
 
 
 def test_consolidate_retrieval_record():
-    s = td.consolidate({"query": "q1", "pos": "d+", "negs": ["d1"], "source": "s", "task_type": "qa"}, "qa", random.Random(0))
+    s = td.consolidate({"query": "q1", "pos": "d+", "negs": ["d1"], "source": "s", "task_type": "qa"}, random.Random(0))
     assert s.format == RETRIEVAL and s.query == "q1" and s.positive == "d+" and s.negatives == ["d1"]
-    assert s.symmetric is False and s.uses_in_batch_negatives
+    assert s.symmetric is False and td.Batch([s]).uses_in_batch_negatives
 
 
 def test_consolidate_classed_record():
     record = {"anchor": "x1", "classes": {"A": ["x1", "x2"], "B": ["y1"]}, "source": "s", "task_type": "clustering"}
-    s = td.consolidate(record, "clustering", random.Random(0))
+    s = td.consolidate(record, random.Random(0))
     assert s.format == CLUSTERING and s.query == "x1" and s.positive == "x2"
     assert s.negatives == ["y1"] and s.symmetric is True
-    assert not s.uses_in_batch_negatives
+    assert not td.Batch([s]).uses_in_batch_negatives
 
 
 def test_consolidate_binary_record():
     record = {"text": "great film", "label": "positive", "labels": ["positive", "negative"], "source": "s", "task_type": "sentiment"}
-    s = td.consolidate(record, "sentiment", random.Random(0))
+    s = td.consolidate(record, random.Random(0))
     assert s.format == PAIR_CLASSIFICATION and s.positive == "positive" and s.negatives == ["negative"]
     assert s.symmetric is False
 
 
 def test_consolidate_unknown_schema_names_fields():
     with pytest.raises(SchemaError, match="query / label / classes"):
-        td.consolidate({"foo": 1}, "qa", random.Random(0))
+        td.consolidate({"foo": 1}, random.Random(0))
     with pytest.raises(SchemaError, match="missing fields: pos"):
-        td.consolidate({"query": "q", "source": "s", "task_type": "qa"}, "qa", random.Random(0))
+        td.consolidate({"query": "q", "source": "s", "task_type": "qa"}, random.Random(0))
 
 
 def test_consolidate_is_deterministic():
     record = {"anchor": "x1", "classes": {"A": ["x1", "x2", "x3"], "B": ["y1", "y2"]}, "source": "s", "task_type": "clustering"}
-    a = td.consolidate(record, "clustering", random.Random(42))
-    b = td.consolidate(record, "clustering", random.Random(42))
+    a = td.consolidate(record, random.Random(42))
+    b = td.consolidate(record, random.Random(42))
     assert a == b
 
 
@@ -124,9 +124,9 @@ def test_classes_record_equals_the_per_anchor_reference():
                 want = reference.clustering_sample(anchor, classes, "s", "clustering", random.Random(seed))
             except SchemaError as e:
                 with pytest.raises(SchemaError, match=str(e)):
-                    td.consolidate(record, "clustering", random.Random(seed))
+                    td.consolidate(record, random.Random(seed))
                 continue
-            assert td.consolidate(record, "clustering", random.Random(seed)) == want
+            assert td.consolidate(record, random.Random(seed)) == want
 
 
 # --- mining ------------------------------------------------------------------

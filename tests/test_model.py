@@ -12,6 +12,7 @@ from tinyembed import autodiff as ad
 from tinyembed import model as tm
 from tinyembed.model import ModelConfig
 from tinyembed.tokenizer import EOS_ID, PAD_ID, tokenize
+from tinyembed.training import truncate_and_renorm_array
 
 from reference import (
     detokenize,
@@ -110,9 +111,7 @@ def test_zero_layer_forward_is_final_norm_of_embeddings():
     toks = [7, 9, EOS_ID]
     with ad.no_grad():
         h = tm.forward_hidden(m, toks).values
-        want = ad.rms_norm(
-            ad.gather_rows(m.params["token_embedding"], toks), m.params["final_norm"], eps=tm.RMS_EPS
-        ).values
+        want = ad.rms_norm(ad.gather_rows(m.params["token_embedding"], toks), m.params["final_norm"]).values
     np.testing.assert_array_equal(h, want)
 
 
@@ -348,11 +347,16 @@ def test_chunk_threads_raise_in_the_caller_and_leave_no_thread(monkeypatch):
     assert threading.active_count() == start
 
 
-def test_embed_texts_bitwise_equal_embed_text():
+def test_renormed_raw_embeddings_bitwise_equal_embed_text():
+    # The unit rows `mine` ranks with: raw_embeddings normalized by the array renorm.
+    def units(m, texts):
+        raw = tm.raw_embeddings(m, [tokenize(t, m.config.max_seq_len) for t in texts])
+        return truncate_and_renorm_array(raw, raw.shape[1])
+
     m = tm.init_model(WIDE, seed=9)
     texts = mixed_length_texts(seed=2)
-    np.testing.assert_array_equal(tm.embed_texts(m, texts), np.stack([embed_text(m, t) for t in texts]))
-    assert tm.embed_texts(m, []).shape == (0, WIDE.hidden_size)
+    np.testing.assert_array_equal(units(m, texts), np.stack([embed_text(m, t) for t in texts]))
+    assert units(m, []).shape == (0, WIDE.hidden_size)
 
 
 def test_raw_embeddings_validate_every_sequence():

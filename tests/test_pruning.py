@@ -7,7 +7,7 @@ import pytest
 
 from tinyembed import autodiff as ad
 from tinyembed import pruning as tp
-from tinyembed.model import EmbeddingModel, ModelConfig, forward_hidden, init_model, param_count
+from tinyembed.model import EmbeddingModel, ModelConfig, forward_chunks, forward_hidden, init_model, param_count
 from tinyembed.pruning import ChannelNorms, PruneSpec
 from tinyembed.tokenizer import EOS_ID, tokenize
 
@@ -68,16 +68,12 @@ def test_norms_match_store_everything_oracle():
     calib = calibration(n=3, seed=5)
     got = tp.collect_activation_norms(model, calib)
 
-    from tinyembed.model import TapRecorder
-
     all_res, all_act = [], [[] for _ in range(CFG.num_layers)]
-    with ad.no_grad():
-        for seq in calib:
-            taps = TapRecorder()
-            forward_hidden(model, seq, taps=taps)
-            all_res.extend(taps.residual)
-            for i, act in enumerate(taps.mlp_act):
-                all_act[i].append(act)
+    for seq in calib:
+        _, taps = next(forward_chunks(model, [seq]))
+        all_res.extend(taps.residual)
+        for i, act in enumerate(taps.mlp_act):
+            all_act[i].append(act)
     want_hidden = np.linalg.norm(np.concatenate(all_res, axis=0).astype(np.float64), axis=0)
     np.testing.assert_allclose(got.hidden_norms, want_hidden, rtol=1e-6)
     for i in range(CFG.num_layers):
@@ -87,24 +83,20 @@ def test_norms_match_store_everything_oracle():
 
 def one_sequence_at_a_time_norms(model, calibration):
     """collect_activation_norms as one forward per sequence, adding in calibration order."""
-    from tinyembed.model import TapRecorder
-
     cfg = model.config
     ssq_hidden = np.zeros(cfg.hidden_size, dtype=np.float64)
     ssq_mlp = [np.zeros(cfg.mlp_intermediate_size, dtype=np.float64) for _ in range(cfg.num_layers)]
     delta = np.zeros(cfg.num_layers, dtype=np.float64)
-    with ad.no_grad():
-        for seq in calibration:
-            taps = TapRecorder()
-            forward_hidden(model, seq, taps=taps)
-            prev = taps.embedding
-            for i, (res, act) in enumerate(zip(taps.residual, taps.mlp_act)):
-                ssq_hidden += (res.astype(np.float64) ** 2).sum(axis=0)
-                ssq_mlp[i] += (act.astype(np.float64) ** 2).sum(axis=0)
-                delta[i] += np.abs(
-                    np.linalg.norm(res, axis=1).astype(np.float64) - np.linalg.norm(prev, axis=1)
-                ).sum()
-                prev = res
+    for seq in calibration:
+        _, taps = next(forward_chunks(model, [seq]))
+        prev = taps.embedding
+        for i, (res, act) in enumerate(zip(taps.residual, taps.mlp_act)):
+            ssq_hidden += (res.astype(np.float64) ** 2).sum(axis=0)
+            ssq_mlp[i] += (act.astype(np.float64) ** 2).sum(axis=0)
+            delta[i] += np.abs(
+                np.linalg.norm(res, axis=1).astype(np.float64) - np.linalg.norm(prev, axis=1)
+            ).sum()
+            prev = res
     return np.sqrt(ssq_hidden), [np.sqrt(s) for s in ssq_mlp], delta
 
 

@@ -25,7 +25,7 @@ from tinyembed.pruning import collect_activation_norms
 from tinyembed.tokenizer import tokenize
 from tinyembed.training import LossConfig, OptimizerState, StagePlan
 
-from reference import concat, cross_entropy, raw_sequence_embedding, transpose
+from reference import concat, cross_entropy, grad_check, raw_sequence_embedding, transpose
 from test_autodiff import assert_backward_equals_reference, assert_vjps_repeat
 
 
@@ -148,7 +148,7 @@ def test_info_nce_gradient_check():
     def fn(x):
         return tt.info_nce(x, b, [k] * b, temperature=0.1, use_in_batch=True)
 
-    assert ad.grad_check(fn, Tensor(point), tolerance=1e-3) < 1e-3
+    assert grad_check(fn, Tensor(point), tolerance=1e-3) < 1e-3
 
 
 # --- matryoshka --------------------------------------------------------------
@@ -537,7 +537,8 @@ def test_every_registered_primitive_is_recorded_by_the_pipeline(monkeypatch):
 def test_metrics_csv_format(tmp_path):
     data = [Batch([rsample(query=f"q{i}") for i in range(2)])]
     model = init_model(STUDENT_CFG, seed=0)
-    tt.train_stage(model, data, make_plan(), metrics_path=tmp_path / "m.csv")
+    _, metrics = tt.train_stage(model, data, make_plan())
+    tt.write_metrics_csv(tmp_path / "m.csv", metrics)
     lines = (tmp_path / "m.csv").read_text().splitlines()
     assert lines[0] == "step,total_loss,contrastive_loss,distill_loss"
     assert lines[1].startswith("1,")
@@ -579,7 +580,7 @@ def _per_text_step(model, batch, plan, opt, teacher, token_cache, teacher_cache)
         dloss = tt.distill_loss(student_unit, np.stack([teacher_cache[t] for t in all_texts]))
         total = ad.add(contrastive, ad.scale(dloss, plan.loss.distill_weight))
     ad.backward(total)
-    params = model.parameters()
+    params = model.params
     tt.adamw_step(params, {k: p.grad for k, p in params.items()}, opt, plan.learning_rate)
 
 
@@ -603,7 +604,7 @@ def _run_both(batch, dtype, with_teacher, steps=3):
     plan = make_plan(stage=2, learning_rate=3e-3, loss=LossConfig(mrl_dims=(8, 16, 32)))
     teacher = init_model(PACKED_TEACHER_CFG, seed=4).astype(dtype) if with_teacher else None
     packed, ref = (init_model(PACKED_CFG, seed=2).astype(dtype) for _ in range(2))
-    packed_opt, ref_opt = (OptimizerState.for_params(m.parameters()) for m in (packed, ref))
+    packed_opt, ref_opt = (OptimizerState.for_params(m.params) for m in (packed, ref))
     targets = tt._teacher_targets(teacher, [batch]) if with_teacher else None
     token_cache, ref_caches = {}, ({}, {})
     for step in range(1, steps + 1):
@@ -660,7 +661,7 @@ def _step_graph(dtype, with_teacher):
         batch = _mixed_batch(CLUSTERING, seed=3)
         targets = tt._teacher_targets(teacher, [batch]) if with_teacher else None
         tt._train_step(model, batch, plan, None, 1, {}, targets)
-    return losses[0], list(model.parameters().values())
+    return losses[0], list(model.params.values())
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
