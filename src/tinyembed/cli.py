@@ -67,19 +67,9 @@ def cmd_consolidate(args) -> int:
     inputs = sorted(Path(args.input).glob("*.jsonl")) if Path(args.input).is_dir() else [Path(args.input)]
     if not inputs:
         raise UserError(f"no .jsonl files under {args.input}")
+    records = [(f"{path}:{lineno}", record) for path in inputs for lineno, record in _load_records_with_lines(path)]
     rng = random.Random(args.seed)
-    samples: list[td.CanonicalSample] = []
-    classed: list[dict] = []
-    for path in inputs:
-        for lineno, record in _load_records_with_lines(path):
-            try:
-                if td.is_classed(record):
-                    classed.append(record)
-                else:
-                    samples.append(td.consolidate(record, rng))
-            except SchemaError as e:
-                raise SchemaError(f"{path}:{lineno}: {e}") from e
-    samples.extend(td.consolidate_records(classed, rng))
+    samples = td.consolidate_records(records, rng)
     if args.cap is not None:
         samples = td.cap_per_source(samples, args.cap, rng)
     out = Path(args.out)
@@ -142,8 +132,7 @@ PLAN_FIELDS = {
 
 
 def _plan_from_json(path: str) -> tuple[StagePlan, dict]:
-    with open(path) as f:
-        raw = json.load(f)
+    raw = td.read_json(path)
     td.check_fields(f"plan {path}", raw, PLAN_FIELDS, ("stage", "lr", "epochs", "batch_size", "mrl_dims", "seed", "data"))
     try:
         loss = LossConfig(
@@ -175,13 +164,13 @@ def _load_training_samples(plan: StagePlan, raw: dict) -> list[td.CanonicalSampl
     if plan.stage == 2:
         if not raw.get("instructions"):
             raise UserError("stage-2 plans need an instructions template file")
-        with open(raw["instructions"]) as f:
-            templates = json.load(f)
+        templates = td.read_json(raw["instructions"])
         if not isinstance(templates, dict) or not all(isinstance(v, str) for v in templates.values()):
             raise UserError(f"instructions {raw['instructions']}: expected a JSON object of task type -> template string")
         samples = td.attach_instructions(samples, templates)
         rng = random.Random(plan.seed + 1)
-        samples = [td.apply_instructions(s, 2, raw.get("p_doc", 0.30), rng) for s in samples]
+        p_doc = {"p_doc": raw["p_doc"]} if "p_doc" in raw else {}  # else apply_instructions' default
+        samples = [td.apply_instructions(s, 2, rng=rng, **p_doc) for s in samples]
     return samples
 
 
@@ -194,8 +183,7 @@ def cmd_train(args) -> int:
         model = tm.load_checkpoint(args.resume)
         state_path = Path(args.resume) / "training_state.json"
         if state_path.exists():
-            with open(state_path) as f:
-                state = json.load(f)
+            state = td.read_json(state_path)
             td.check_fields(str(state_path), state, {"step": "a non-negative integer"}, ("step",))
             start_step = state["step"]
     else:
@@ -426,7 +414,7 @@ def main(argv=None) -> int:
     except NonFiniteError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except (UserError, SchemaError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (UserError, SchemaError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

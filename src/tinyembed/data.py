@@ -1,9 +1,10 @@
 """Data consolidation into the three canonical contrastive formats, hard-negative
 mining, per-source capping, stage-dependent instruction formatting, and batching.
 
-Ingestion accepts JSON-lines records in three schemas:
+Ingestion accepts JSON-lines records in four schemas:
   retrieval: {"query", "pos", "negs": [...], "source", "task_type", "symmetric"?}
   classed:   {"text", "class", "source", "task_type"}   (paired within/across classes)
+  grouped:   {"anchor", "classes": {label: [texts]}, "source", "task_type"}
   binary:    {"text", "label", "labels": [l0, l1], "source", "task_type"}
 """
 
@@ -235,31 +236,26 @@ def _clustering_samples(
     return samples
 
 
-def is_classed(record: dict) -> bool:
-    """True for a per-text classed record, which consolidate_records groups
-    with its class before it becomes a sample. Raises SchemaError when such a
-    record misses a field or has one of the wrong kind, so callers can check it
-    where they know its line."""
-    if "class" not in record or "query" in record or "label" in record:
-        return False
-    _require(record, ("text", "class", "source", "task_type"), "classed")
-    return True
-
-
-def consolidate_records(records: Iterable[dict], rng: random.Random) -> list[CanonicalSample]:
-    """Consolidate a stream of raw records, grouping per-text classed records.
+def consolidate_records(records: Iterable[tuple[str, dict]], rng: random.Random) -> list[CanonicalSample]:
+    """Consolidate a stream of (where, record) pairs, grouping per-text classed
+    records; a record's SchemaError is raised again prefixed with its where.
 
     Classed records ({"text", "class", ...}) are grouped by (source, task_type);
     each text becomes an anchor. Anchors whose class has no second member, or
-    whose group has a single class, are skipped (no valid pair exists).
+    whose group has a single class, are skipped (no valid pair exists). The
+    other records become samples in stream order, then the groups follow.
     """
     samples: list[CanonicalSample] = []
     classed: dict[tuple[str, str], dict[str, list[str]]] = defaultdict(lambda: defaultdict(list))
-    for record in records:
-        if is_classed(record):
-            classed[(record["source"], record["task_type"])][record["class"]].append(record["text"])
-        else:
-            samples.append(consolidate(record, rng))
+    for where, record in records:
+        try:
+            if "class" in record and "query" not in record and "label" not in record:
+                _require(record, ("text", "class", "source", "task_type"), "classed")
+                classed[(record["source"], record["task_type"])][record["class"]].append(record["text"])
+            else:
+                samples.append(consolidate(record, rng))
+        except SchemaError as e:
+            raise SchemaError(f"{where}: {e}") from e
     for (source, task_type), classes in classed.items():
         if len(classes) < 2:
             continue
@@ -413,16 +409,30 @@ def stats_report(samples: list[CanonicalSample]) -> dict:
 def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """(line number, record) for every non-blank line; bad JSON names its path:line."""
     records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append((lineno, json.loads(line)))
+                except json.JSONDecodeError as e:
+                    raise SchemaError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: {e}") from e
     return records
+
+
+def read_json(path: str | Path):
+    """The JSON value a file holds; bad JSON names its path:line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: {e}") from e
 
 
 def read_samples(path: str | Path) -> list[CanonicalSample]:

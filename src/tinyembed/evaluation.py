@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Batch, SchemaError, check_fields, top_ranks
+from .data import Batch, SchemaError, check_fields, read_json, top_ranks
 from .model import EmbeddingModel, raw_embeddings
 from .tokenizer import tokenize
 from .training import StagePlan, train_stage, truncate_and_renorm_array
@@ -71,19 +71,11 @@ class EvalTask:
         return [t for pair in self.pairs for t in pair]
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "name": self.name}
-        if self.kind == "Retrieval":
-            d.update(
-                queries=self.queries,
-                corpus=self.corpus,
-                relevance=[{str(i): g for i, g in r.items()} for r in self.relevance],
-                k=self.k,
-            )
-        elif self.kind == "STS":
-            d.update(pairs=[list(p) for p in self.pairs], gold=self.gold)
-        else:
-            d.update(pairs=[list(p) for p in self.pairs], labels=self.labels)
-        return d
+        """The kind's fields in order; json.dump writes the int relevance keys as
+        strings and the pair tuples as lists."""
+        names = {"Retrieval": ("queries", "corpus", "relevance", "k"), "STS": ("pairs", "gold")}
+        keys = names.get(self.kind, ("pairs", "labels"))
+        return {"kind": self.kind, "name": self.name, **{key: getattr(self, key) for key in keys}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalTask":
@@ -109,8 +101,7 @@ TASK_FIELDS = {
 
 
 def load_tasks(path: str | Path) -> list[EvalTask]:
-    with open(path) as f:
-        payload = json.load(f)
+    payload = read_json(path)
     if not isinstance(payload, list):
         raise SchemaError(f"{path}: expected a JSON list of tasks")
     tasks = []
@@ -202,20 +193,12 @@ class _EmbedCache:
     def __init__(self, model: EmbeddingModel):
         self.model = model
         self.raw: dict[str, np.ndarray] = {}
-        self.requests = 0
-        self.hits = 0
 
     def warm(self, texts: list[str]) -> None:
         """Embed the texts not seen yet in one raw_embeddings call. Callers pass
         every task's texts at once, so texts of equal length from different tasks
         share length chunks, and one thread pool runs them all."""
-        new: dict[str, None] = {}
-        for text in texts:
-            self.requests += 1
-            if text in self.raw or text in new:
-                self.hits += 1
-            else:
-                new[text] = None
+        new = [text for text in dict.fromkeys(texts) if text not in self.raw]
         max_len = self.model.config.max_seq_len
         self.raw.update(zip(new, raw_embeddings(self.model, [tokenize(t, max_len) for t in new])))
 
@@ -262,10 +245,12 @@ def evaluate(model: EmbeddingModel, tasks: list[EvalTask], dim: int | None = Non
     if dim is not None and not 1 <= dim <= model.config.hidden_size:
         raise ValueError(f"dim {dim} out of range [1, {model.config.hidden_size}]")
     cache = _EmbedCache(model)
-    cache.warm([text for task in tasks for text in task.texts()])
+    texts = [text for task in tasks for text in task.texts()]
+    cache.warm(texts)
     scores = [TaskScore(t.name, t.kind, _score_task(t, cache, dim)) for t in tasks]
     mean = sum(s.score for s in scores) / len(scores) if scores else None
-    return EvalReport(scores, mean, len(cache.raw), cache.requests, cache.hits)
+    # The cache started empty, so every request past a text's first was a hit.
+    return EvalReport(scores, mean, len(cache.raw), len(texts), len(texts) - len(cache.raw))
 
 
 def mrl_sweep(model: EmbeddingModel, tasks: list[EvalTask], dims: list[int]) -> list[tuple[int, float]]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import SchemaError, check_fields
+from .data import SchemaError, check_fields, read_json
 from .tokenizer import EOS_ID
 
 INIT_STD = 0.02
@@ -51,8 +51,7 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ModelConfig":
-        with open(path) as f:
-            raw = json.load(f)
+        raw = read_json(path)
         kinds = {f.name: "a number" if f.type == "float" else "an integer" for f in fields(cls)}
         check_fields(str(path), raw, kinds, [f.name for f in fields(cls) if f.default is MISSING])
         try:
@@ -335,8 +334,7 @@ def load_checkpoint(ckpt_dir: str | Path, trainable: bool = True) -> EmbeddingMo
     ckpt = Path(ckpt_dir)
     config = ModelConfig.from_json(ckpt / "config.json")
     where = ckpt / "manifest.json"
-    with open(where) as f:
-        manifest = json.load(f)
+    manifest = read_json(where)
     if not isinstance(manifest, list):
         raise SchemaError(f"{where}: expected a JSON list of parameter entries, got {type(manifest).__name__}")
     kinds = {"name": "a string", "shape": "a list of integers", "offset": "a non-negative integer"}

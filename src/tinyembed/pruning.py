@@ -52,37 +52,32 @@ def collect_activation_norms(model: EmbeddingModel, calibration: list[list[int]]
     """L2 norms over all (sequence, position) pairs, per hidden and per MLP channel.
 
     Sequences are forwarded in length chunks. A chunk's per-sequence partial sums
-    reduce its (sequences, tokens, ·) taps over the tokens, and are added in
-    calibration order, so the float64 totals round exactly as one forward per
-    sequence would.
+    reduce its (sequences, tokens, ·) taps over the tokens and land at their
+    sequences' positions; the totals add them in calibration order, so the
+    float64 totals round exactly as one forward per sequence would.
     """
     if not calibration:
         raise ValueError("empty calibration set")
     cfg = model.config
-    partials: list[list[tuple[np.ndarray, np.ndarray, float]]] = [[] for _ in calibration]
+    n, layers = len(calibration), cfg.num_layers
+    hidden = np.empty((n, layers, cfg.hidden_size))
+    mlp = np.empty((layers, n, cfg.mlp_intermediate_size))
+    change = np.empty((layers, n))
     for idx, taps in forward_chunks(model, calibration):
-        n = len(idx)
+        rows = len(idx)
         prev = np.linalg.norm(taps.embedding, axis=1)
-        for res, act in zip(taps.residual, taps.mlp_act):
+        for i, (res, act) in enumerate(zip(taps.residual, taps.mlp_act)):
             norm = np.linalg.norm(res, axis=1)
-            change = np.abs(norm.astype(np.float64) - prev).reshape(n, -1).sum(axis=1)
-            hidden = np.square(res, dtype=np.float64).reshape(n, -1, res.shape[1]).sum(axis=1)
-            mlp = np.square(act, dtype=np.float64).reshape(n, -1, act.shape[1]).sum(axis=1)
-            for seq_index, part in zip(idx, zip(hidden, mlp, change)):
-                partials[seq_index].append(part)
+            change[i, idx] = np.abs(norm.astype(np.float64) - prev).reshape(rows, -1).sum(axis=1)
+            hidden[idx, i] = np.square(res, dtype=np.float64).reshape(rows, -1, res.shape[1]).sum(axis=1)
+            mlp[i, idx] = np.square(act, dtype=np.float64).reshape(rows, -1, act.shape[1]).sum(axis=1)
             prev = norm
-    ssq_hidden = np.zeros(cfg.hidden_size, dtype=np.float64)
-    ssq_mlp = [np.zeros(cfg.mlp_intermediate_size, dtype=np.float64) for _ in range(cfg.num_layers)]
-    delta = np.zeros(cfg.num_layers, dtype=np.float64)
-    for layers in partials:
-        for i, (hidden, mlp, change) in enumerate(layers):
-            ssq_hidden += hidden
-            ssq_mlp[i] += mlp
-            delta[i] += change
+    # A reduce over axis 0 adds row after row; a 1-D reduce would add pairwise,
+    # so the per-layer scalars take cumsum's last column.
     return ChannelNorms(
-        hidden_norms=np.sqrt(ssq_hidden),
-        mlp_norms=[np.sqrt(s) for s in ssq_mlp],
-        layer_norm_change=delta,
+        hidden_norms=np.sqrt(np.add.reduce(hidden.reshape(-1, cfg.hidden_size), axis=0, initial=0.0)),
+        mlp_norms=[np.sqrt(np.add.reduce(m, axis=0, initial=0.0)) for m in mlp],
+        layer_norm_change=np.cumsum(change, axis=1)[:, -1],
     )
 
 

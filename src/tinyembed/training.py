@@ -208,17 +208,10 @@ def write_metrics_csv(path: str | Path, metrics: list[StepMetrics]) -> None:
             w.writerow([m.step, repr(m.total_loss), repr(m.contrastive_loss), repr(m.distill_loss)])
 
 
-def _batch_texts(batch: Batch) -> tuple[list[str], list[str], list[list[str]]]:
-    queries = [s.query for s in batch.samples]
-    positives = [s.positive for s in batch.samples]
-    negatives = [list(s.negatives) for s in batch.samples]
-    return queries, positives, negatives
-
-
 def _packed_texts(batch: Batch) -> list[str]:
     """A step's texts in packed order: queries, positives, then each sample's negatives."""
-    queries, positives, negatives = _batch_texts(batch)
-    return queries + positives + [n for negs in negatives for n in negs]
+    samples = batch.samples
+    return [s.query for s in samples] + [s.positive for s in samples] + [n for s in samples for n in s.negatives]
 
 
 def _teacher_targets(teacher: EmbeddingModel, data: list[Batch], start_step: int = 0) -> dict[str, np.ndarray]:
@@ -244,18 +237,16 @@ def _train_step(
     plan: StagePlan,
     opt: OptimizerState,
     step: int,
-    token_cache: dict[str, list[int]],
+    tokens: dict[str, list[int]],
     targets: dict[str, np.ndarray] | None,
 ) -> StepMetrics:
     """One batch: forward, loss, backward and an AdamW update, distilling from
-    targets (_teacher_targets, holding every text of the batch) unless None. The
+    targets (_teacher_targets, holding every text of the batch) unless None.
+    tokens holds the student's token list of every text of the batch. The
     step's graph is dropped on return, before the next batch builds its own."""
     try:
         all_texts = _packed_texts(batch)
-        for text in all_texts:
-            if text not in token_cache:
-                token_cache[text] = tokenize(text, model.config.max_seq_len)
-        eos = raw_sequence_embeddings(model, [token_cache[t] for t in all_texts])
+        eos = raw_sequence_embeddings(model, [tokens[t] for t in all_texts])
         neg_counts = [len(s.negatives) for s in batch.samples]
         contrastive = matryoshka_info_nce(
             eos, len(batch.samples), neg_counts, plan.loss, use_in_batch=batch.uses_in_batch_negatives
@@ -288,9 +279,10 @@ def train_stage(
     It writes no files: the caller saves the metrics and the checkpoint.
 
     It distills when given a teacher and a positive distill_weight: the teacher
-    first embeds every distinct text without gradients (_teacher_targets). Then
-    per batch: embed every text with the student, apply the matryoshka InfoNCE
-    with in-batch negatives only for retrieval batches, add the weighted
+    first embeds every distinct text without gradients (_teacher_targets). The
+    student tokenizes every distinct text before step 1 too. Then per batch:
+    embed every text with the student, apply the matryoshka InfoNCE with
+    in-batch negatives only for retrieval batches, add the weighted
     distillation MSE, backprop, and take one AdamW step. Deterministic given
     identical inputs.
     """
@@ -303,12 +295,13 @@ def train_stage(
     targets = None
     if teacher is not None and plan.loss.distill_weight > 0:
         targets = _teacher_targets(teacher, data, start_step)
+    texts = dict.fromkeys(text for batch in data for text in _packed_texts(batch))
+    tokens = {text: tokenize(text, model.config.max_seq_len) for text in texts}
     opt = OptimizerState.for_params(model.params)
     metrics: list[StepMetrics] = []
-    token_cache: dict[str, list[int]] = {}
     step = start_step
     for _ in range(plan.epochs):
         for batch in data:
             step += 1
-            metrics.append(_train_step(model, batch, plan, opt, step, token_cache, targets))
+            metrics.append(_train_step(model, batch, plan, opt, step, tokens, targets))
     return model, metrics

@@ -329,15 +329,19 @@ def clustering_sample(
     )
 
 
-def consolidate_records(records: Iterable[dict], rng: random.Random) -> list[td.CanonicalSample]:
+def consolidate_records(records: Iterable[tuple[str, dict]], rng: random.Random) -> list[td.CanonicalSample]:
     """data.consolidate_records with one clustering_sample call per anchor."""
     samples: list[td.CanonicalSample] = []
     classed: dict[tuple[str, str], dict[str, list[str]]] = defaultdict(lambda: defaultdict(list))
-    for record in records:
-        if td.is_classed(record):
-            classed[(record["source"], record["task_type"])][record["class"]].append(record["text"])
-        else:
-            samples.append(td.consolidate(record, rng))
+    for where, record in records:
+        try:
+            if "class" in record and "query" not in record and "label" not in record:
+                td._require(record, ("text", "class", "source", "task_type"), "classed")
+                classed[(record["source"], record["task_type"])][record["class"]].append(record["text"])
+            else:
+                samples.append(td.consolidate(record, rng))
+        except td.SchemaError as e:
+            raise td.SchemaError(f"{where}: {e}") from e
     for (source, task_type), classes in classed.items():
         if len(classes) < 2:
             continue

@@ -357,6 +357,53 @@ def test_eval_degenerate_task_exit_2(tmp_path, capsys, task, message):
     assert f"{tasks}: task 0 ('flat')" in err and message in err, err
 
 
+def _reading(tmp_path, data, command, kind):
+    """(argv, the file argv reads as kind) beside the trained run's checkpoint."""
+    ckpt, out, bad = tmp_path / "run" / "checkpoint", str(tmp_path / "out"), tmp_path / f"bad-{kind}"
+    train = lambda data=data, **plan: ["train", "--plan", str(write_plan(tmp_path, [data], **plan)), "--out", out]
+    evaluate = lambda tasks: ["eval", "--checkpoint", str(ckpt), "--tasks", str(tasks)]
+    return {
+        ("consolidate", "raw"): lambda: (["consolidate", "--input", str(bad), "--out", out], bad),
+        ("train", "plan"): lambda: (train(), tmp_path / "plan.json"),
+        ("train", "canonical"): lambda: (train(data=bad), bad),
+        ("train", "instructions"): lambda: (train(stage=2, instructions=str(bad)), bad),
+        ("train", "model config"): lambda: (train(model_config=str(bad)), bad),
+        ("train", "training state"): lambda: (train() + ["--resume", str(ckpt)], ckpt / "training_state.json"),
+        ("eval", "tasks"): lambda: (evaluate(bad), bad),
+        ("eval", "checkpoint config"): lambda: (evaluate(write_tasks(tmp_path)), ckpt / "config.json"),
+        ("eval", "manifest"): lambda: (evaluate(write_tasks(tmp_path)), ckpt / "manifest.json"),
+        ("prune", "calibration"): lambda: ([
+            "prune", "--checkpoint", str(ckpt), "--calibration", str(bad),
+            "--target-hidden", "8", "--target-mlp", "8", "--target-layers", "1", "--out", out,
+        ], bad),
+    }[command, kind]()
+
+
+@pytest.mark.parametrize("fault", ["invalid JSON", "not UTF-8"])
+@pytest.mark.parametrize("command, kind", [
+    ("consolidate", "raw"), ("train", "plan"), ("train", "canonical"), ("train", "instructions"),
+    ("train", "model config"), ("train", "training state"), ("eval", "tasks"), ("eval", "checkpoint config"),
+    ("eval", "manifest"), ("prune", "calibration"),
+])
+def test_an_input_file_that_does_not_parse_exits_2_naming_it(trained_run, capsys, command, kind, fault):
+    tmp_path, data = trained_run
+    argv, path = _reading(tmp_path, data, command, kind)
+    jsonl = kind in ("raw", "canonical", "calibration")
+    if fault == "not UTF-8":
+        path.write_bytes(b'{"text": "\xff"}\n')
+    elif jsonl:
+        path.write_text('{"text": "t"}\n{"text": \n')  # line 2 is cut short
+    else:
+        path.write_text('{\n  "a": 1,\n  b\n}\n')  # line 3 holds a bare name
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    if fault == "not UTF-8":
+        assert f"{path}: 'utf-8' codec can't decode" in err, err
+    else:
+        assert f"{path}:{2 if jsonl else 3}: invalid JSON" in err, err
+
+
 def test_train_determinism_byte_identical(tmp_path):
     data = write_toy_canonical(tmp_path)
     plan = write_plan(tmp_path, [data])

@@ -72,7 +72,7 @@ def test_consolidate_records_groups_classed_stream():
         {"text": "y1", "class": "B", "source": "s", "task_type": "clustering"},
         {"query": "q", "pos": "d", "source": "r", "task_type": "qa"},
     ]
-    samples = td.consolidate_records(records, random.Random(0))
+    samples = td.consolidate_records(enumerate(records), random.Random(0))
     formats = sorted(s.format for s in samples)
     # y1 has no same-class partner, so only x1 and x2 become clustering anchors
     assert formats == [CLUSTERING, CLUSTERING, RETRIEVAL]
@@ -95,14 +95,14 @@ def test_consolidate_records_equals_the_per_anchor_reference():
         seed = int(rng.integers(0, 2**31))
         got_rng, want_rng = random.Random(seed), random.Random(seed)
         try:
-            want = reference.consolidate_records(records, want_rng)
+            want = reference.consolidate_records(enumerate(records), want_rng)
         except SchemaError as e:
             outcomes.add("error")
             with pytest.raises(SchemaError, match=str(e)):
-                td.consolidate_records(records, got_rng)
+                td.consolidate_records(enumerate(records), got_rng)
             continue
         outcomes.add("samples")
-        got = td.consolidate_records(records, got_rng)
+        got = td.consolidate_records(enumerate(records), got_rng)
         assert [s.to_json() for s in got] == [s.to_json() for s in want]
         assert got_rng.getstate() == want_rng.getstate()
     assert outcomes == {"error", "samples"}

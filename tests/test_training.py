@@ -514,6 +514,30 @@ def test_the_teacher_embeds_each_text_once_before_the_first_student_forward(monk
     assert embedded == [tuple(tokenize(t, teacher.config.max_seq_len)) for t in texts]
 
 
+def test_the_student_tokenizes_each_text_once_before_the_first_student_forward(monkeypatch):
+    events = []
+    tokenize_fn, forward_fn = tt.tokenize, tt.raw_sequence_embeddings
+
+    def spy_tokenize(text, max_len):
+        events.append(("tokenize", text))
+        return tokenize_fn(text, max_len)
+
+    def spy_forward(model, seqs):
+        events.append(("forward", len(seqs)))
+        return forward_fn(model, seqs)
+
+    monkeypatch.setattr(tt, "tokenize", spy_tokenize)
+    monkeypatch.setattr(tt, "raw_sequence_embeddings", spy_forward)
+    # Batch 2 brings new texts beside repeated ones; the texts repeat across epochs.
+    data = [Batch([rsample(query="q0", positive="d"), rsample(query="q1", positive="d")]),
+            Batch([rsample(query="q1", positive="d1"), rsample(query="q2", positive="d")])]
+    tt.train_stage(init_model(STUDENT_CFG, seed=3), data, make_plan(epochs=2))
+    first_forward = events.index(("forward", 4))
+    assert sorted(text for kind, text in events if kind == "tokenize") == ["d", "d1", "q0", "q1", "q2"]
+    assert all(kind == "tokenize" for kind, _ in events[:first_forward])
+    assert [kind for kind, _ in events[first_forward:]] == ["forward"] * 4
+
+
 def test_every_registered_primitive_is_recorded_by_the_pipeline(monkeypatch):
     # A stage-2 step with a teacher and a matryoshka dim below full, no-grad
     # embedding and pruning calibration record every primitive src/ registers:
@@ -563,7 +587,9 @@ def _embed_rows(model, texts, cache):
 
 def _per_text_step(model, batch, plan, opt, teacher, token_cache, teacher_cache):
     """_train_step as it was before the packed forward and the fused loss."""
-    queries, positives, negatives = tt._batch_texts(batch)
+    queries = [s.query for s in batch.samples]
+    positives = [s.positive for s in batch.samples]
+    negatives = [list(s.negatives) for s in batch.samples]
     raw_q = _embed_rows(model, queries, token_cache)
     raw_p = _embed_rows(model, positives, token_cache)
     raw_n = [_embed_rows(model, negs, token_cache) if negs else None for negs in negatives]
@@ -599,6 +625,11 @@ def _mixed_batch(fmt, seed):
     return Batch(samples)
 
 
+def _student_tokens(model, batch):
+    """The token lists train_stage hands _train_step, for one batch's texts."""
+    return {text: tokenize(text, model.config.max_seq_len) for text in tt._packed_texts(batch)}
+
+
 def _run_both(batch, dtype, with_teacher, steps=3):
     """Yield (step, packed model, per-text model) after each of `steps` steps."""
     plan = make_plan(stage=2, learning_rate=3e-3, loss=LossConfig(mrl_dims=(8, 16, 32)))
@@ -606,9 +637,9 @@ def _run_both(batch, dtype, with_teacher, steps=3):
     packed, ref = (init_model(PACKED_CFG, seed=2).astype(dtype) for _ in range(2))
     packed_opt, ref_opt = (OptimizerState.for_params(m.params) for m in (packed, ref))
     targets = tt._teacher_targets(teacher, [batch]) if with_teacher else None
-    token_cache, ref_caches = {}, ({}, {})
+    tokens, ref_caches = _student_tokens(packed, batch), ({}, {})
     for step in range(1, steps + 1):
-        tt._train_step(packed, batch, plan, packed_opt, step, token_cache, targets)
+        tt._train_step(packed, batch, plan, packed_opt, step, tokens, targets)
         _per_text_step(ref, batch, plan, ref_opt, teacher, *ref_caches)
         yield step, packed, ref
 
@@ -660,7 +691,7 @@ def _step_graph(dtype, with_teacher):
         mp.setattr(tt, "adamw_step", lambda *args: None)
         batch = _mixed_batch(CLUSTERING, seed=3)
         targets = tt._teacher_targets(teacher, [batch]) if with_teacher else None
-        tt._train_step(model, batch, plan, None, 1, {}, targets)
+        tt._train_step(model, batch, plan, None, 1, _student_tokens(model, batch), targets)
     return losses[0], list(model.params.values())
 
 

@@ -10,9 +10,9 @@ end-to-end metric of ``BENCHMARK.json`` it prints both medians, the change
 against the parent, the pairs in which the change was better, and the parent's
 interquartile range (inclusive quartiles). The summary and every run's metrics
 are appended as one entry to the list in ``--record``, a ``BENCH_*.json`` file
-at the root of the checkout this tool lives in. A run that exits non-zero or
-prints no result stops the tool before anything is recorded. Nothing under
-``perfbench/`` is changed.
+at the root of the checkout this tool lives in, written in the file's own
+indent. A run that exits non-zero or prints no result stops the tool before
+anything is recorded. Nothing under ``perfbench/`` is changed.
 """
 
 import argparse
@@ -119,9 +119,13 @@ def main(argv=None) -> int:
         "metrics": metrics,
     }
     path = ROOT / args.record
-    history = json.loads(path.read_text()) if path.is_file() else []
+    text = path.read_text() if path.is_file() else "[]"
+    history = json.loads(text)
     history.append(entry)
-    path.write_text(json.dumps(history, indent=1) + "\n")
+    # Keep the file's own indent (its second line's), so a diff shows only the new entry.
+    lines = text.splitlines()
+    indent = len(lines[1]) - len(lines[1].lstrip()) if len(lines) > 1 else 1
+    path.write_text(json.dumps(history, indent=indent) + "\n")
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s; "
           f"correct={entry['correct']} failed ops parent/change {entry['failed_ops']}")
