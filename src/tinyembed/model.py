@@ -241,7 +241,9 @@ def _cpu_count() -> int:
 
 def forward_chunks(model: EmbeddingModel, token_seqs: list[list[int]]):
     """Yield (indices, TapRecorder) per length chunk, without gradients. Rows of
-    the taps are the chunk's sequences in index order, len(token_seqs[i]) rows each."""
+    the taps are the chunk's sequences in index order, len(token_seqs[i]) rows each.
+    The generator drops its recorder before it forwards the next chunk, so a
+    consumer that drops its own references holds one chunk's taps at a time."""
     for seq in token_seqs:
         _check_tokens(model.config, seq)
     for idx in ad.length_chunks([len(seq) for seq in token_seqs]):

@@ -72,6 +72,8 @@ def collect_activation_norms(model: EmbeddingModel, calibration: list[list[int]]
             hidden[idx, i] = np.square(res, dtype=np.float64).reshape(rows, -1, res.shape[1]).sum(axis=1)
             mlp[i, idx] = np.square(act, dtype=np.float64).reshape(rows, -1, act.shape[1]).sum(axis=1)
             prev = norm
+        # Left bound, these names would hold this chunk's taps while the next one forwards.
+        taps = res = act = norm = prev = None
     # A reduce over axis 0 adds row after row; a 1-D reduce would add pairwise,
     # so the per-layer scalars take cumsum's last column.
     return ChannelNorms(

@@ -369,9 +369,11 @@ def _reading(tmp_path, data, command, kind):
         ("train", "instructions"): lambda: (train(stage=2, instructions=str(bad)), bad),
         ("train", "model config"): lambda: (train(model_config=str(bad)), bad),
         ("train", "training state"): lambda: (train() + ["--resume", str(ckpt)], ckpt / "training_state.json"),
+        ("train", "resume weights"): lambda: (train() + ["--resume", str(ckpt)], ckpt / "weights.bin"),
         ("eval", "tasks"): lambda: (evaluate(bad), bad),
         ("eval", "checkpoint config"): lambda: (evaluate(write_tasks(tmp_path)), ckpt / "config.json"),
         ("eval", "manifest"): lambda: (evaluate(write_tasks(tmp_path)), ckpt / "manifest.json"),
+        ("eval", "weights"): lambda: (evaluate(write_tasks(tmp_path)), ckpt / "weights.bin"),
         ("prune", "calibration"): lambda: ([
             "prune", "--checkpoint", str(ckpt), "--calibration", str(bad),
             "--target-hidden", "8", "--target-mlp", "8", "--target-layers", "1", "--out", out,
@@ -379,17 +381,29 @@ def _reading(tmp_path, data, command, kind):
     }[command, kind]()
 
 
-@pytest.mark.parametrize("fault", ["invalid JSON", "not UTF-8"])
-@pytest.mark.parametrize("command, kind", [
-    ("consolidate", "raw"), ("train", "plan"), ("train", "canonical"), ("train", "instructions"),
-    ("train", "model config"), ("train", "training state"), ("eval", "tasks"), ("eval", "checkpoint config"),
-    ("eval", "manifest"), ("prune", "calibration"),
+@pytest.mark.parametrize("command, kind, fault", [
+    (command, kind, fault)
+    for command, kind in [
+        ("consolidate", "raw"), ("train", "plan"), ("train", "canonical"), ("train", "instructions"),
+        ("train", "model config"), ("train", "training state"), ("eval", "tasks"), ("eval", "checkpoint config"),
+        ("eval", "manifest"), ("prune", "calibration"),
+    ]
+    for fault in ["invalid JSON", "not UTF-8"]
+] + [
+    # weights.bin is binary: it is cut short or missing, not unparsable text.
+    (command, kind, fault) for command, kind in [("eval", "weights"), ("train", "resume weights")]
+    for fault in ["truncated", "missing"]
 ])
 def test_an_input_file_that_does_not_parse_exits_2_naming_it(trained_run, capsys, command, kind, fault):
     tmp_path, data = trained_run
     argv, path = _reading(tmp_path, data, command, kind)
     jsonl = kind in ("raw", "canonical", "calibration")
-    if fault == "not UTF-8":
+    if fault == "truncated":
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-3])
+    elif fault == "missing":
+        path.unlink()
+    elif fault == "not UTF-8":
         path.write_bytes(b'{"text": "\xff"}\n')
     elif jsonl:
         path.write_text('{"text": "t"}\n{"text": \n')  # line 2 is cut short
@@ -398,7 +412,11 @@ def test_an_input_file_that_does_not_parse_exits_2_naming_it(trained_run, capsys
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    if fault == "not UTF-8":
+    if fault == "truncated":
+        assert f"{path} has {size - 3} bytes, {path.parent / 'manifest.json'} implies {size}" in err, err
+    elif fault == "missing":
+        assert f"No such file or directory: '{path}'" in err, err
+    elif fault == "not UTF-8":
         assert f"{path}: 'utf-8' codec can't decode" in err, err
     else:
         assert f"{path}:{2 if jsonl else 3}: invalid JSON" in err, err

@@ -1,5 +1,6 @@
 """Activation-norm collection and structured-pruning exactness tests."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,36 @@ def test_norms_bitwise_equal_one_sequence_at_a_time_on_mixed_lengths():
     for i in range(CFG.num_layers):
         np.testing.assert_array_equal(got.mlp_norms[i], mlp[i])
     np.testing.assert_array_equal(got.layer_norm_change, delta)
+
+
+TEACHER_CFG = ModelConfig(hidden_size=64, mlp_intermediate_size=256, num_layers=4, num_heads=4,
+                          num_kv_heads=2, head_dim=16, vocab_size=258, max_seq_len=48)
+
+
+def test_calibration_holds_one_chunks_taps_at_a_time():
+    # 16-token sequences fill 512-token chunks 32 at a time. Four chunks may peak
+    # above one by the float64 partials of 96 more sequences, not by a chunk's taps.
+    cfg = TEACHER_CFG
+    model = init_model(cfg, seed=0)
+    one, four = calibration(n=32, seed=1, length=15), calibration(n=128, seed=2, length=15)
+    assert len(ad.length_chunks([16] * len(four))) == 4
+    _, taps = next(forward_chunks(model, one))
+    chunk_taps = taps.embedding.nbytes + sum(a.nbytes for a in taps.residual + taps.mlp_act)
+    del taps
+    tp.collect_activation_norms(model, one)  # anything built once is built before the trace
+
+    def traced_peak(calib):
+        tracemalloc.start()
+        try:
+            tp.collect_activation_norms(model, calib)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    partials_per_seq = 8 * cfg.num_layers * (cfg.hidden_size + cfg.mlp_intermediate_size + 1)
+    growth = traced_peak(four) - traced_peak(one)
+    allowed = (len(four) - len(one)) * partials_per_seq + chunk_taps // 2
+    assert growth < allowed, f"traced peak grew {growth / 1e6:.2f} MB, allowed {allowed / 1e6:.2f} MB"
 
 
 def test_empty_calibration_rejected():

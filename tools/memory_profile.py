@@ -8,6 +8,10 @@ warm-up cycle, then traces one cycle with one BLAS thread. It prints:
 
 - the traced peak MB of each stage's teacher pre-pass
   (``training._teacher_targets``), as its own row before the step it precedes;
+- the traced peak MB of each pruning calibration pass
+  (``pruning.collect_activation_norms``), as its own row before the subcommand
+  it runs in, with the traced MB live before each chunk's forward: a chunk's
+  taps still live there would show as a step up from the first chunk;
 - per train step, the traced peak MB before ``backward`` (from the previous
   step's ``backward``, the teacher pre-pass or the subcommand's start, through
   this step's forward and loss), the MB of arrays the graph's vjp closures
@@ -23,8 +27,9 @@ warm-up cycle, then traces one cycle with one BLAS thread. It prints:
   untraced warm-up too.
 
 ``autodiff.backward``, ``autodiff._make`` (which wraps each recorded vjp),
-``training._teacher_targets`` and the subcommand runner are wrapped from
-outside, so nothing under ``src/`` changes. ``tracemalloc`` counts numpy's
+``training._teacher_targets``, ``pruning.collect_activation_norms``,
+``model._forward`` and the subcommand runner are wrapped from outside, so
+nothing under ``src/`` changes. ``tracemalloc`` counts numpy's
 array buffers and Python objects, not the allocator's free lists or BLAS's own
 buffers, so its figures sit below the resident set. Tracing slows the cycle
 several-fold.
@@ -52,6 +57,8 @@ import numpy as np  # noqa: E402
 
 import tinyembed.autodiff as ad  # noqa: E402
 import tinyembed.cli as cli  # noqa: E402
+import tinyembed.model as tm  # noqa: E402
+import tinyembed.pruning as tp  # noqa: E402
 import tinyembed.training as tt  # noqa: E402
 from run import Runner  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -110,6 +117,9 @@ class MemoryProfile:
         self.vjps: list[tuple[int, str, tuple, int, int]] = []  # transient, op, output shape, step, peak
         self.commands: list[tuple[str, int]] = []
         self.teacher: dict[int, int] = {}  # the step a teacher pre-pass precedes: its peak
+        # per calibration pass: the subcommand it runs in, its peak, live before each chunk's forward
+        self.calibration: list[tuple[int, int, list[int]]] = []
+        self._chunks: list[int] | None = None  # live bytes per chunk while a calibration pass runs
 
     def _fold(self):
         peak = tracemalloc.get_traced_memory()[1]
@@ -131,6 +141,7 @@ class MemoryProfile:
 
     def install(self, runner: Runner):
         make, backward, teacher_targets = ad._make, ad.backward, tt._teacher_targets
+        norms, forward = tp.collect_activation_norms, tm._forward
 
         def traced_make(op, values, parents, vjp):
             shape = values.shape
@@ -164,6 +175,23 @@ class MemoryProfile:
             self.teacher[len(self.steps) + 1] = peak[0]
             return targets
 
+        def traced_norms(model, calibration):
+            if not self.on:
+                return norms(model, calibration)
+            self._chunks = []
+            try:
+                with self.window() as (peak, _):
+                    result = norms(model, calibration)
+                self.calibration.append((len(self.commands), peak[0], self._chunks))
+            finally:
+                self._chunks = None
+            return result
+
+        def traced_forward(*args, **kwargs):
+            if self._chunks is not None:  # only calibration chunks forward in a calibration pass
+                self._chunks.append(tracemalloc.get_traced_memory()[0])
+            return forward(*args, **kwargs)
+
         def traced_run(argv):
             if not self.on:
                 return runner(argv)
@@ -173,6 +201,7 @@ class MemoryProfile:
             return op
 
         ad._make, ad.backward, tt._teacher_targets = traced_make, traced_backward, traced_teacher_targets
+        tp.collect_activation_norms, tm._forward = traced_norms, traced_forward
         return traced_run
 
     def report(self) -> str:
@@ -195,7 +224,11 @@ class MemoryProfile:
             lines.append("largest vjp transients:")
             for transient, op, shape, step, _ in sorted(self.vjps, key=lambda v: -v[0])[:5]:
                 lines.append(f"  {op:<20} output {str(shape):<14} step {step:>3} {transient / MB:>8.2f} MB")
-        for name, peak in self.commands:
+        for i, (name, peak) in enumerate(self.commands):
+            for _, calibration_peak, chunks in (c for c in self.calibration if c[0] == i):
+                lives = " ".join(f"{live / MB:.2f}" for live in chunks)
+                lines.append(f"calibration pass: peak {calibration_peak / MB:.2f} MB,"
+                             f" live before each chunk's forward (MB): {lives}")
             lines.append(f"subcommand {name}: peak {peak / MB:.2f} MB")
         return "\n".join(lines)
 
