@@ -205,12 +205,14 @@ def _blocks(segments: Sequence[int] | None, rows: int) -> list[list]:
     return blocks
 
 
-def _sum_slices(parts: np.ndarray) -> np.ndarray:
+def sum_slices(parts: np.ndarray) -> np.ndarray:
     """parts[0] + parts[1] + ... added slice by slice from zero, as backward adds
     the gradients of separate per-sequence graphs. np.add.reduce does that, but
     sums one-element slices pairwise, so those take a cumulative sum (+ 0.0
-    gives a -0.0 total the sign a sum from zero would)."""
-    if parts[0].size == 1:
+    gives a -0.0 total the sign a sum from zero would). Axis 0 must not be the
+    contiguous axis of parts, which a reduce adds pairwise too (a transposed
+    view differed from the in-order sum in 21 of 72 random cases)."""
+    if len(parts) and parts[0].size == 1:
         return np.cumsum(parts, axis=0)[-1] + 0.0
     return np.add.reduce(parts, axis=0, initial=0.0)
 
@@ -242,7 +244,7 @@ def _matmul_grad_b(av: np.ndarray, g: np.ndarray, runs, gb=0.0) -> np.ndarray:
         r1 = r0 + n * t
         parts[0] = gb  # the earlier runs' sum
         np.matmul(av[r0:r1].reshape(n, t, -1).swapaxes(1, 2), g[r0:r1].reshape(n, t, -1), out=parts[1 : 1 + n])
-        gb = _sum_slices(parts[: 1 + n])
+        gb = sum_slices(parts[: 1 + n])
     return gb
 
 
@@ -257,7 +259,7 @@ def matmul(a: Tensor, b: Tensor, segments: Sequence[int] | None = None) -> Tenso
     Each run of equal-length segments is one batched np.matmul over the run
     viewed as (segments, length, .): numpy makes the same BLAS call per segment
     as a loop of 2-D products would. b's per-segment parts of a run fill a
-    stack after the earlier runs' sum, which _sum_slices adds in order."""
+    stack after the earlier runs' sum, which sum_slices adds in order."""
     av, bv = a.values, b.values
     _shape_check("matmul", av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0], av.shape, bv.shape)
     _check_segments("matmul", segments, av.shape[0])
@@ -517,7 +519,7 @@ def rms_norm(a: Tensor, gain: Tensor, group_size: int | None = None, segments: S
         g_xhat *= dot
         gx *= inv
         gx -= g_xhat
-        return gx.reshape(rows, cols), _sum_slices(parts)
+        return gx.reshape(rows, cols), sum_slices(parts)
 
     return _make("rms_norm", out, (a, gain), vjp)
 
@@ -625,7 +627,7 @@ def gather_rows(a: Tensor, indices: Sequence[int], segments: Sequence[int] | Non
         for rows in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
             parts[key[rows]] += g[rows]
         ga = np.zeros_like(av)
-        ga[ids] = _sum_slices(parts.reshape(len(lengths), ids.size, av.shape[1]))
+        ga[ids] = sum_slices(parts.reshape(len(lengths), ids.size, av.shape[1]))
         return (ga,)
 
     return _make("gather_rows", av[idx], (a,), vjp)
@@ -694,7 +696,7 @@ def info_nce(emb: Tensor, b: int, neg_counts: Sequence[int], inv_t: float, in_ba
     each query's part in query order.
 
     Queries with the same candidate count go together: one batched np.matmul
-    makes the same gemv call per query, np.cumsum adds the losses strictly in
+    makes the same gemv call per query, sum_slices adds the losses strictly in
     query order, and the candidate rows' parts (exact outer products; zero for
     a row that is not the query's candidate) are added in query order."""
     ev = emb.values
@@ -728,10 +730,10 @@ def info_nce(emb: Tensor, b: int, neg_counts: Sequence[int], inv_t: float, in_ba
             gs *= inv_t
             g_emb[qs] += (gs[:, None] @ cand_t.swapaxes(1, 2))[:, 0]
             parts[qs[:, None], idx] = gs[:, :, None] * qi
-        g_emb[b:] = _sum_slices(parts)
+        g_emb[b:] = sum_slices(parts)
         return (g_emb,)
 
-    return _make("info_nce", np.cumsum(nll)[-1] * (1.0 / b), (emb,), vjp)
+    return _make("info_nce", sum_slices(nll) * (1.0 / b), (emb,), vjp)
 
 
 @lru_cache(maxsize=256)

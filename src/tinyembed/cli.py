@@ -18,11 +18,11 @@ from pathlib import Path
 from . import data as td
 from . import evaluation as ev
 from . import model as tm
-from .autodiff import NonFiniteError
+from .autodiff import NonFiniteError, Tensor
 from .data import SchemaError
 from .pruning import PruneSpec, prune_model
 from .tokenizer import tokenize
-from .training import LossConfig, StagePlan, train_stage, truncate_and_renorm_array, write_metrics_csv
+from .training import LossConfig, StagePlan, train_stage, truncate_and_renorm, write_metrics_csv
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -97,7 +97,7 @@ def cmd_mine(args) -> int:
     queries = [s.query for s in samples]
     texts = list(dict.fromkeys(corpus + queries))
     raw = tm.raw_embeddings(model, [tokenize(t, model.config.max_seq_len) for t in texts])
-    units = dict(zip(texts, truncate_and_renorm_array(raw, raw.shape[1])))
+    units = dict(zip(texts, truncate_and_renorm(Tensor(raw), raw.shape[1]).values))
     mined = td.mine_hard_negatives(
         queries, corpus, units.__getitem__, k=args.k, skip_top=args.skip_top, positive_indices=list(range(len(samples)))
     )
@@ -150,6 +150,12 @@ def _plan_from_json(path: str) -> tuple[StagePlan, dict]:
         )
         if "p_doc" in raw and not 0 <= raw["p_doc"] <= 1:  # also true for NaN
             raise ValueError(f"p_doc must be in [0, 1], got {raw['p_doc']!r}")
+        # A field the plan would accept and then ignore.
+        for field in ("instructions", "p_doc"):
+            if plan.stage == 1 and raw.get(field) is not None:
+                raise ValueError(f"{field} applies to stage-2 plans only")
+        if raw.get("teacher") is not None and loss.distill_weight == 0:
+            raise ValueError("teacher is never used with distill_weight 0")
     except ValueError as e:
         raise UserError(f"plan {path}: {e}") from e
     return plan, raw
@@ -191,6 +197,8 @@ def cmd_train(args) -> int:
             raise UserError("plan needs model_config (or pass --resume)")
         config = tm.ModelConfig.from_json(_resolve_config_path(raw["model_config"]))
         model = tm.init_model(config, plan.seed)
+    if plan.loss.mrl_dims[-1] != model.config.hidden_size:
+        raise UserError(f"plan {args.plan}: mrl_dims must end at the model's hidden size {model.config.hidden_size}")
     teacher = None if raw.get("teacher") is None else tm.load_checkpoint(raw["teacher"], trainable=False)
     samples = _load_training_samples(plan, raw)
     batches = td.epoch_batches(samples, plan.batch_size, random.Random(plan.seed), plan.epochs)

@@ -169,6 +169,8 @@ def consolidate(record: dict, rng: random.Random) -> CanonicalSample:
     negative; binary-labeled records use the label text as positive and the
     opposite label text as the negative.
     """
+    if not isinstance(record, dict):
+        raise SchemaError(f"expected a JSON object, got {type(record).__name__}")
     if "query" in record:
         _require(record, ("query", "pos", "negs", "symmetric", "source", "task_type"), "retrieval")
         kind = record["task_type"]
@@ -249,7 +251,7 @@ def consolidate_records(records: Iterable[tuple[str, dict]], rng: random.Random)
     classed: dict[tuple[str, str], dict[str, list[str]]] = defaultdict(lambda: defaultdict(list))
     for where, record in records:
         try:
-            if "class" in record and "query" not in record and "label" not in record:
+            if isinstance(record, dict) and "class" in record and "query" not in record and "label" not in record:
                 _require(record, ("text", "class", "source", "task_type"), "classed")
                 classed[(record["source"], record["task_type"])][record["class"]].append(record["text"])
             else:

@@ -14,7 +14,8 @@ import numpy as np
 from .data import Batch, SchemaError, check_fields, read_json, top_ranks
 from .model import EmbeddingModel, raw_embeddings
 from .tokenizer import tokenize
-from .training import StagePlan, train_stage, truncate_and_renorm_array
+from .autodiff import Tensor
+from .training import StagePlan, train_stage, truncate_and_renorm
 
 KINDS = ("Retrieval", "STS", "PairClassification")
 
@@ -206,7 +207,7 @@ class _EmbedCache:
         """Texts of a warm call as rows, truncated to dim and renormed. A row's
         norm is its own reduction, so each row rounds as it would alone."""
         raw = np.stack([self.raw[text] for text in texts])
-        return truncate_and_renorm_array(raw, raw.shape[1] if dim is None else dim)
+        return truncate_and_renorm(Tensor(raw), raw.shape[1] if dim is None else dim).values
 
 
 @dataclass

@@ -53,8 +53,8 @@ def collect_activation_norms(model: EmbeddingModel, calibration: list[list[int]]
 
     Sequences are forwarded in length chunks. A chunk's per-sequence partial sums
     reduce its (sequences, tokens, ·) taps over the tokens and land at their
-    sequences' positions; the totals add them in calibration order, so the
-    float64 totals round exactly as one forward per sequence would.
+    sequences' positions; the totals add them in calibration order (sum_slices),
+    so the float64 totals round exactly as one forward per sequence would.
     """
     if not calibration:
         raise ValueError("empty calibration set")
@@ -62,24 +62,22 @@ def collect_activation_norms(model: EmbeddingModel, calibration: list[list[int]]
     n, layers = len(calibration), cfg.num_layers
     hidden = np.empty((n, layers, cfg.hidden_size))
     mlp = np.empty((layers, n, cfg.mlp_intermediate_size))
-    change = np.empty((layers, n))
+    change = np.empty((n, layers))
     for idx, taps in forward_chunks(model, calibration):
         rows = len(idx)
         prev = np.linalg.norm(taps.embedding, axis=1)
         for i, (res, act) in enumerate(zip(taps.residual, taps.mlp_act)):
             norm = np.linalg.norm(res, axis=1)
-            change[i, idx] = np.abs(norm.astype(np.float64) - prev).reshape(rows, -1).sum(axis=1)
+            change[idx, i] = np.abs(norm.astype(np.float64) - prev).reshape(rows, -1).sum(axis=1)
             hidden[idx, i] = np.square(res, dtype=np.float64).reshape(rows, -1, res.shape[1]).sum(axis=1)
             mlp[i, idx] = np.square(act, dtype=np.float64).reshape(rows, -1, act.shape[1]).sum(axis=1)
             prev = norm
         # Left bound, these names would hold this chunk's taps while the next one forwards.
         taps = res = act = norm = prev = None
-    # A reduce over axis 0 adds row after row; a 1-D reduce would add pairwise,
-    # so the per-layer scalars take cumsum's last column.
     return ChannelNorms(
-        hidden_norms=np.sqrt(np.add.reduce(hidden.reshape(-1, cfg.hidden_size), axis=0, initial=0.0)),
-        mlp_norms=[np.sqrt(np.add.reduce(m, axis=0, initial=0.0)) for m in mlp],
-        layer_norm_change=np.cumsum(change, axis=1)[:, -1],
+        hidden_norms=np.sqrt(ad.sum_slices(hidden.reshape(-1, cfg.hidden_size))),
+        mlp_norms=[np.sqrt(ad.sum_slices(m)) for m in mlp],
+        layer_norm_change=ad.sum_slices(change),
     )
 
 

@@ -68,23 +68,12 @@ class StagePlan:
 
 
 def truncate_and_renorm(emb: Tensor, d: int) -> Tensor:
-    """First d coordinates, re-normalized to unit rows."""
+    """First d coordinates, re-normalized to unit rows; no graph node for a Tensor that needs no grad."""
     full = emb.shape[1]
     if not 1 <= d <= full:
         raise ValueError(f"truncation dim {d} out of range [1, {full}]")
     sliced = emb if d == full else ad.slice_cols(emb, 0, d)
     return ad.l2_normalize_rows(sliced)
-
-
-def truncate_and_renorm_array(emb: np.ndarray, d: int) -> np.ndarray:
-    """Numpy twin of truncate_and_renorm for inference-side embeddings."""
-    if not 1 <= d <= emb.shape[-1]:
-        raise ValueError(f"truncation dim {d} out of range [1, {emb.shape[-1]}]")
-    sliced = emb[..., :d]
-    norms = np.linalg.norm(sliced, axis=-1, keepdims=True)
-    if (norms < 1e-12).any():
-        raise ValueError("cannot renormalize a zero prefix")
-    return sliced / norms
 
 
 def _check_unit_rows(name: str, rows: np.ndarray) -> None:
@@ -137,8 +126,8 @@ def distill_loss(student_embs: Tensor, teacher: np.ndarray) -> Tensor:
         raise ShapeError(f"distill_loss: student {student_embs.shape} vs teacher {teacher.shape}")
     if teacher.shape[1] < d_s:
         raise ValueError(f"teacher dim {teacher.shape[1]} smaller than student dim {d_s}")
-    target = truncate_and_renorm_array(teacher.astype(student_embs.values.dtype, copy=False), d_s)
-    return ad.mse(student_embs, Tensor(target))
+    target = Tensor(teacher.astype(student_embs.values.dtype, copy=False))
+    return ad.mse(student_embs, truncate_and_renorm(target, d_s))
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +203,18 @@ def _packed_texts(batch: Batch) -> list[str]:
     return [s.query for s in samples] + [s.positive for s in samples] + [n for s in samples for n in s.negatives]
 
 
-def _teacher_targets(teacher: EmbeddingModel, data: list[Batch], start_step: int = 0) -> dict[str, np.ndarray]:
+def _teacher_targets(
+    teacher: EmbeddingModel, data: list[Batch], tokens: dict[str, list[int]], start_step: int = 0
+) -> dict[str, np.ndarray]:
     """Unit teacher embedding of every text of data, made before the first step,
     while no student graph is alive: one raw_embeddings call per batch in step
-    order over its texts not embedded yet. A NonFiniteError names that step."""
+    order over its texts not embedded yet. tokens holds the teacher's token list
+    of every text. A NonFiniteError names that step."""
     targets: dict[str, np.ndarray] = {}
-    max_len = teacher.config.max_seq_len
     for step, batch in enumerate(data, start_step + 1):
         missing = [t for t in dict.fromkeys(_packed_texts(batch)) if t not in targets]
         try:
-            rows = raw_embeddings(teacher, [tokenize(t, max_len) for t in missing])
+            rows = raw_embeddings(teacher, [tokens[t] for t in missing])
         except NonFiniteError as e:
             raise NonFiniteError(f"non-finite loss at step {step}: {e}") from e
         for text, raw in zip(missing, rows):
@@ -278,11 +269,11 @@ def train_stage(
     """Run one training stage over pre-built batches, updating model in place.
     It writes no files: the caller saves the metrics and the checkpoint.
 
-    It distills when given a teacher and a positive distill_weight: the teacher
-    first embeds every distinct text without gradients (_teacher_targets). The
-    student tokenizes every distinct text before step 1 too. Then per batch:
-    embed every text with the student, apply the matryoshka InfoNCE with
-    in-batch negatives only for retrieval batches, add the weighted
+    Every distinct text is tokenized once per max_seq_len before step 1. It
+    distills when given a teacher and a positive distill_weight: the teacher
+    first embeds every distinct text without gradients (_teacher_targets). Then
+    per batch: embed every text with the student, apply the matryoshka InfoNCE
+    with in-batch negatives only for retrieval batches, add the weighted
     distillation MSE, backprop, and take one AdamW step. Deterministic given
     identical inputs.
     """
@@ -292,16 +283,16 @@ def train_stage(
         raise ValueError(
             f"teacher hidden size {teacher.config.hidden_size} smaller than student's {model.config.hidden_size}"
         )
-    targets = None
-    if teacher is not None and plan.loss.distill_weight > 0:
-        targets = _teacher_targets(teacher, data, start_step)
+    distills = teacher is not None and plan.loss.distill_weight > 0
     texts = dict.fromkeys(text for batch in data for text in _packed_texts(batch))
-    tokens = {text: tokenize(text, model.config.max_seq_len) for text in texts}
+    lengths = {m.config.max_seq_len for m in ((model, teacher) if distills else (model,))}
+    tokens = {n: {text: tokenize(text, n) for text in texts} for n in lengths}
+    targets = _teacher_targets(teacher, data, tokens[teacher.config.max_seq_len], start_step) if distills else None
     opt = OptimizerState.for_params(model.params)
     metrics: list[StepMetrics] = []
     step = start_step
     for _ in range(plan.epochs):
         for batch in data:
             step += 1
-            metrics.append(_train_step(model, batch, plan, opt, step, tokens, targets))
+            metrics.append(_train_step(model, batch, plan, opt, step, tokens[model.config.max_seq_len], targets))
     return model, metrics

@@ -17,7 +17,6 @@ from tinyembed import evaluation as ev
 from tinyembed import model as tm
 from tinyembed.autodiff import Tensor
 from tinyembed.tokenizer import EOS_ID, tokenize
-from tinyembed.training import truncate_and_renorm_array
 
 # --- ops -----------------------------------------------------------------------
 
@@ -236,9 +235,8 @@ def model_from_flat(config: tm.ModelConfig, flat: Tensor) -> tm.EmbeddingModel:
 
 def unit(cache: ev._EmbedCache, text: str, dim: int | None) -> np.ndarray:
     """A text of a warm call, truncated to dim and renormed."""
-    raw = cache.raw[text]
-    d = raw.shape[0] if dim is None else dim
-    return truncate_and_renorm_array(raw[None, :], d)[0]
+    raw = cache.raw[text][:dim]
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
 
 def score_task(task: ev.EvalTask, cache: ev._EmbedCache, dim: int | None) -> float:

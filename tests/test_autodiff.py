@@ -576,6 +576,16 @@ def test_segmented_matmul_equals_per_segment_products_bitwise():
                 np.testing.assert_array_equal(w.grad, gw, err_msg=f"{dtype.__name__} K={k} C={c}")
 
 
+@pytest.mark.parametrize("shape", [(41, 3), (16, 2), (7, 1), (40,), (0, 5)])
+def test_sum_slices_adds_slice_after_slice_from_zero(shape):
+    # The one in-order sum: gradients, calibration totals and the InfoNCE total.
+    parts = np.random.default_rng(sum(shape)).random(shape) * 10
+    want = np.zeros(shape[1:])
+    for part in parts:
+        want = want + part
+    np.testing.assert_array_equal(ad.sum_slices(parts), want)
+
+
 def test_segments_must_cover_the_rows():
     x, w = leaf(np.zeros((5, 2))), leaf(np.zeros((2, 2)))
     for bad in ((2, 2), (3, 3), (5, 0), ()):

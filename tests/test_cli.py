@@ -245,6 +245,11 @@ def test_train_plan_missing_fields_exit_2(tmp_path, capsys):
     ({"p_doc": 1.5}, "p_doc"),
     ({"p_doc": -0.1}, "p_doc"),
     ({"p_doc": float("nan")}, "p_doc"),
+    ({"mrl_dims": [8]}, "mrl_dims"),  # the tiny model's hidden size is 16
+    # Fields a plan would otherwise accept and ignore.
+    ({"instructions": "nope.json"}, "instructions"),
+    ({"p_doc": 0.5}, "p_doc"),
+    ({"teacher": "missing-ckpt", "distill_weight": 0}, "teacher"),
 ])
 def test_train_malformed_plan_field_exit_2(tmp_path, capsys, override, field):
     # Rejected before any step runs, naming the plan file and the field.
@@ -393,6 +398,9 @@ def _reading(tmp_path, data, command, kind):
     # weights.bin is binary: it is cut short or missing, not unparsable text.
     (command, kind, fault) for command, kind in [("eval", "weights"), ("train", "resume weights")]
     for fault in ["truncated", "missing"]
+] + [
+    # A JSONL line that parses but is not a record.
+    (command, kind, "not an object") for command, kind in [("consolidate", "raw"), ("train", "canonical"), ("prune", "calibration")]
 ])
 def test_an_input_file_that_does_not_parse_exits_2_naming_it(trained_run, capsys, command, kind, fault):
     tmp_path, data = trained_run
@@ -405,6 +413,8 @@ def test_an_input_file_that_does_not_parse_exits_2_naming_it(trained_run, capsys
         path.unlink()
     elif fault == "not UTF-8":
         path.write_bytes(b'{"text": "\xff"}\n')
+    elif fault == "not an object":
+        path.write_text("5\n")
     elif jsonl:
         path.write_text('{"text": "t"}\n{"text": \n')  # line 2 is cut short
     else:
@@ -418,6 +428,8 @@ def test_an_input_file_that_does_not_parse_exits_2_naming_it(trained_run, capsys
         assert f"No such file or directory: '{path}'" in err, err
     elif fault == "not UTF-8":
         assert f"{path}: 'utf-8' codec can't decode" in err, err
+    elif fault == "not an object":
+        assert f"{path}:1: expected a JSON object, got int" in err, err
     else:
         assert f"{path}:{2 if jsonl else 3}: invalid JSON" in err, err
 

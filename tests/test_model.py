@@ -12,7 +12,6 @@ from tinyembed import autodiff as ad
 from tinyembed import model as tm
 from tinyembed.model import ModelConfig
 from tinyembed.tokenizer import EOS_ID, PAD_ID, tokenize
-from tinyembed.training import truncate_and_renorm_array
 
 from reference import (
     detokenize,
@@ -348,10 +347,10 @@ def test_chunk_threads_raise_in_the_caller_and_leave_no_thread(monkeypatch):
 
 
 def test_renormed_raw_embeddings_bitwise_equal_embed_text():
-    # The unit rows `mine` ranks with: raw_embeddings normalized by the array renorm.
+    # Unit rows of raw_embeddings, each normalized on its own.
     def units(m, texts):
         raw = tm.raw_embeddings(m, [tokenize(t, m.config.max_seq_len) for t in texts])
-        return truncate_and_renorm_array(raw, raw.shape[1])
+        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
     m = tm.init_model(WIDE, seed=9)
     texts = mixed_length_texts(seed=2)

@@ -101,10 +101,11 @@ def one_sequence_at_a_time_norms(model, calibration):
     return np.sqrt(ssq_hidden), [np.sqrt(s) for s in ssq_mlp], delta
 
 
-def test_norms_bitwise_equal_one_sequence_at_a_time_on_mixed_lengths():
+@pytest.mark.parametrize("layers", [3, 1, 0])
+def test_norms_bitwise_equal_one_sequence_at_a_time_on_mixed_lengths(layers):
     from tinyembed.autodiff import MAX_FORWARD_TOKENS, length_chunks
 
-    model = init_model(CFG, seed=7)
+    model = init_model(replace(CFG, num_layers=layers), seed=7)
     rng = np.random.default_rng(8)
     calib = [list(rng.integers(0, 256, size=int(n))) for n in rng.integers(1, CFG.max_seq_len + 1, size=12)]
     calib += calibration(n=MAX_FORWARD_TOKENS // 20 + 2, seed=9, length=19)  # one length, split by the cap
@@ -114,7 +115,8 @@ def test_norms_bitwise_equal_one_sequence_at_a_time_on_mixed_lengths():
     got = tp.collect_activation_norms(model, calib)
     hidden, mlp, delta = one_sequence_at_a_time_norms(model, calib)
     np.testing.assert_array_equal(got.hidden_norms, hidden)
-    for i in range(CFG.num_layers):
+    assert len(got.mlp_norms) == layers
+    for i in range(layers):
         np.testing.assert_array_equal(got.mlp_norms[i], mlp[i])
     np.testing.assert_array_equal(got.layer_norm_change, delta)
 

@@ -9,6 +9,8 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from tinyembed import autodiff as ad
 from tinyembed import model as tm
 from tinyembed import training as tt
 from tinyembed.autodiff import Tensor
-from tinyembed.data import CLUSTERING, RETRIEVAL, Batch, CanonicalSample
+from tinyembed.data import CLUSTERING, RETRIEVAL, Batch, CanonicalSample, epoch_batches
 from tinyembed.model import ModelConfig, init_model, raw_embeddings
 from tinyembed.pruning import collect_activation_norms
 from tinyembed.tokenizer import tokenize
@@ -70,7 +72,7 @@ def test_truncate_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         tt.truncate_and_renorm(Tensor(np.ones((1, 4))), 5)
     with pytest.raises(ValueError, match="out of range"):
-        tt.truncate_and_renorm_array(np.ones((1, 4)), 0)
+        tt.truncate_and_renorm(Tensor(np.ones((1, 4))), 0)
 
 
 # --- info_nce ----------------------------------------------------------------
@@ -317,8 +319,8 @@ def test_loss_config_validation():
 def test_distill_zero_when_student_equals_truncated_teacher():
     rng = np.random.default_rng(7)
     teacher = unit_rows(rng, 4, 16)
-    student = tt.truncate_and_renorm_array(teacher, 8)
-    assert float(tt.distill_loss(Tensor(student), teacher).values) < 1e-15
+    student = tt.truncate_and_renorm(Tensor(teacher), 8)
+    assert float(tt.distill_loss(student, teacher).values) < 1e-15
 
 
 def test_distill_orthogonal_unit_vectors():
@@ -625,8 +627,8 @@ def _mixed_batch(fmt, seed):
     return Batch(samples)
 
 
-def _student_tokens(model, batch):
-    """The token lists train_stage hands _train_step, for one batch's texts."""
+def _tokens(model, batch):
+    """model's token list of each of one batch's texts, as train_stage makes them."""
     return {text: tokenize(text, model.config.max_seq_len) for text in tt._packed_texts(batch)}
 
 
@@ -636,8 +638,8 @@ def _run_both(batch, dtype, with_teacher, steps=3):
     teacher = init_model(PACKED_TEACHER_CFG, seed=4).astype(dtype) if with_teacher else None
     packed, ref = (init_model(PACKED_CFG, seed=2).astype(dtype) for _ in range(2))
     packed_opt, ref_opt = (OptimizerState.for_params(m.params) for m in (packed, ref))
-    targets = tt._teacher_targets(teacher, [batch]) if with_teacher else None
-    tokens, ref_caches = _student_tokens(packed, batch), ({}, {})
+    targets = tt._teacher_targets(teacher, [batch], _tokens(teacher, batch)) if with_teacher else None
+    tokens, ref_caches = _tokens(packed, batch), ({}, {})
     for step in range(1, steps + 1):
         tt._train_step(packed, batch, plan, packed_opt, step, tokens, targets)
         _per_text_step(ref, batch, plan, ref_opt, teacher, *ref_caches)
@@ -690,8 +692,8 @@ def _step_graph(dtype, with_teacher):
         mp.setattr(ad, "backward", losses.append)
         mp.setattr(tt, "adamw_step", lambda *args: None)
         batch = _mixed_batch(CLUSTERING, seed=3)
-        targets = tt._teacher_targets(teacher, [batch]) if with_teacher else None
-        tt._train_step(model, batch, plan, None, 1, _student_tokens(model, batch), targets)
+        targets = tt._teacher_targets(teacher, [batch], _tokens(teacher, batch)) if with_teacher else None
+        tt._train_step(model, batch, plan, None, 1, _tokens(model, batch), targets)
     return losses[0], list(model.params.values())
 
 
@@ -723,6 +725,25 @@ def test_a_trained_model_is_freed_without_the_cyclic_collector():
         assert weights() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("teacher_len", [PACKED_CFG.max_seq_len, 16], ids=["shared-length", "teacher-shorter"])
+def test_a_distilling_stage_tokenizes_each_text_once_per_length(monkeypatch, teacher_len):
+    calls = Counter()
+    tokenize_ = tt.tokenize
+
+    def counting(text, max_seq_len):
+        calls[text, max_seq_len] += 1
+        return tokenize_(text, max_seq_len)
+
+    monkeypatch.setattr(tt, "tokenize", counting)
+    samples = _mixed_batch(CLUSTERING, seed=3).samples + _mixed_batch(CLUSTERING, seed=4).samples
+    batches = epoch_batches(samples, 4, random.Random(0), 2)
+    teacher = init_model(replace(PACKED_TEACHER_CFG, max_seq_len=teacher_len), seed=4)
+    plan = make_plan(stage=2, loss=LossConfig(mrl_dims=(8, 16, 32)))
+    tt.train_stage(init_model(PACKED_CFG, seed=2), batches, plan, teacher=teacher)
+    texts = {text for batch in batches for text in tt._packed_texts(batch)}
+    assert dict(calls) == {(text, n): 1 for text in texts for n in {PACKED_CFG.max_seq_len, teacher_len}}
 
 
 def test_packed_step_memory_stays_near_its_node_values():
