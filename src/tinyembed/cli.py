@@ -161,10 +161,24 @@ def _plan_from_json(path: str) -> tuple[StagePlan, dict]:
     return plan, raw
 
 
-def _load_training_samples(plan: StagePlan, raw: dict) -> list[td.CanonicalSample]:
-    samples: list[td.CanonicalSample] = []
-    for path in raw["data"]:
-        samples.extend(td.read_samples(path))
+def _load_plan(
+    path: str, checkpoint: str | None
+) -> tuple[StagePlan, tm.EmbeddingModel, tm.EmbeddingModel | None, list[td.CanonicalSample]]:
+    """The plan at path, the model it trains (the checkpoint's, else a fresh one
+    from the plan's model_config), the plan's teacher or None, and its samples."""
+    plan, raw = _plan_from_json(path)
+    if checkpoint is not None:
+        if raw.get("model_config") is not None:
+            raise UserError(f"plan {path}: model_config is never used beside the start checkpoint {checkpoint}")
+        model = tm.load_checkpoint(checkpoint)
+    elif not raw.get("model_config"):
+        raise UserError(f"plan {path} needs model_config (or pass --resume)")
+    else:
+        model = tm.init_model(tm.ModelConfig.from_json(_resolve_config_path(raw["model_config"])), plan.seed)
+    if plan.loss.mrl_dims[-1] != model.config.hidden_size:
+        raise UserError(f"plan {path}: mrl_dims must end at the model's hidden size {model.config.hidden_size}")
+    teacher = None if raw.get("teacher") is None else tm.load_checkpoint(raw["teacher"], trainable=False)
+    samples = [s for data in raw["data"] for s in td.read_samples(data)]
     if not samples:
         raise UserError("no training samples found")
     if plan.stage == 2:
@@ -177,33 +191,23 @@ def _load_training_samples(plan: StagePlan, raw: dict) -> list[td.CanonicalSampl
         rng = random.Random(plan.seed + 1)
         p_doc = {"p_doc": raw["p_doc"]} if "p_doc" in raw else {}  # else apply_instructions' default
         samples = [td.apply_instructions(s, 2, rng=rng, **p_doc) for s in samples]
-    return samples
+    return plan, model, teacher, samples
 
 
 def cmd_train(args) -> int:
-    plan, raw = _plan_from_json(args.plan)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    plan, model, teacher, samples = _load_plan(args.plan, args.resume)
     start_step = 0
     if args.resume:
-        model = tm.load_checkpoint(args.resume)
         state_path = Path(args.resume) / "training_state.json"
         if state_path.exists():
             state = td.read_json(state_path)
             td.check_fields(str(state_path), state, {"step": "a non-negative integer"}, ("step",))
             start_step = state["step"]
-    else:
-        if not raw.get("model_config"):
-            raise UserError("plan needs model_config (or pass --resume)")
-        config = tm.ModelConfig.from_json(_resolve_config_path(raw["model_config"]))
-        model = tm.init_model(config, plan.seed)
-    if plan.loss.mrl_dims[-1] != model.config.hidden_size:
-        raise UserError(f"plan {args.plan}: mrl_dims must end at the model's hidden size {model.config.hidden_size}")
-    teacher = None if raw.get("teacher") is None else tm.load_checkpoint(raw["teacher"], trainable=False)
-    samples = _load_training_samples(plan, raw)
     batches = td.epoch_batches(samples, plan.batch_size, random.Random(plan.seed), plan.epochs)
     run_plan = replace(plan, epochs=1)  # epoch reshuffling is baked into the batch list
     _, metrics = train_stage(model, batches, run_plan, teacher=teacher, start_step=start_step)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out / "metrics.csv", metrics)
     tm.save_checkpoint(model, out / "checkpoint")
     _write_json(out / "checkpoint" / "training_state.json", {"step": metrics[-1].step if metrics else start_step})
@@ -269,27 +273,16 @@ def cmd_param_count(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    teacher = tm.load_checkpoint(args.teacher, trainable=False)
-    plan, raw = _plan_from_json(args.plan)
-    if plan.loss.distill_weight <= 0:
-        raise UserError("ablate needs distill_weight > 0 in the plan")
-    samples = _load_training_samples(plan, raw)
+    plan, model, teacher, samples = _load_plan(args.plan, args.checkpoint)
+    if teacher is None:
+        raise UserError(f"plan {args.plan}: ablate needs a teacher")
     tasks = ev.load_tasks(args.tasks)
-    rng = random.Random(plan.seed)
-    texts = [s.query for s in samples] + [s.positive for s in samples]
-    calib_texts = rng.sample(texts, min(args.calib_size, len(texts)))
-    calib = [tokenize(t, teacher.config.max_seq_len) for t in calib_texts]
-    spec = PruneSpec(args.target_hidden, args.target_mlp, args.target_layers, calib)
-    pruned, _ = prune_model(teacher, spec)
-    student_loss = replace(plan.loss, mrl_dims=tuple(d for d in plan.loss.mrl_dims if d <= args.target_hidden))
-    if student_loss.mrl_dims[-1] != args.target_hidden:
-        student_loss = replace(student_loss, mrl_dims=student_loss.mrl_dims + (args.target_hidden,))
     replicates = []
     wins = 0
     for r in range(args.replicates):
         arm_batches = td.epoch_batches(samples, plan.batch_size, random.Random(plan.seed + 1000 + r), plan.epochs)
-        arm_plan = replace(plan, epochs=1, loss=student_loss)
-        result = ev.ablation_distill(pruned, teacher, arm_batches, arm_plan, tasks)
+        arm_plan = replace(plan, epochs=1)
+        result = ev.ablation_distill(model, teacher, arm_batches, arm_plan, tasks)
         wins += result["delta"] > 0
         replicates.append(result)
         print(
@@ -386,14 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path or shipped name (e.g. table1/0.6B.json)")
     p.set_defaults(fn=cmd_param_count)
 
-    p = sub.add_parser("ablate", help="paired with/without-distillation training from a pruned teacher")
-    p.add_argument("--teacher", required=True, help="teacher checkpoint dir")
-    p.add_argument("--plan", required=True)
+    p = sub.add_parser("ablate", help="paired with/without-distillation training from a checkpoint")
+    p.add_argument("--plan", required=True, help="plan with a teacher")
+    p.add_argument("--checkpoint", required=True, help="checkpoint both arms start from, e.g. a pruned teacher")
     p.add_argument("--tasks", required=True)
-    p.add_argument("--target-hidden", type=int, required=True)
-    p.add_argument("--target-mlp", type=int, required=True)
-    p.add_argument("--target-layers", type=int, required=True)
-    p.add_argument("--calib-size", type=_count(1), default=64)
     p.add_argument("--replicates", type=_count(1), default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_ablate)

@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,9 @@ from tinyembed import cli
 from tinyembed import evaluation as ev
 from tinyembed import synthetic as syn
 from tinyembed.cli import main
-from tinyembed.data import read_samples
+from tinyembed.data import epoch_batches, read_samples
 from tinyembed.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from tinyembed.training import LossConfig, StagePlan
 
 
 def write_raw_inputs(dirpath: Path) -> int:
@@ -190,6 +192,7 @@ def test_train_resume_continues_step_numbering(tmp_path):
     data = write_toy_canonical(tmp_path)
     plan = write_plan(tmp_path, [data])
     assert main(["train", "--plan", str(plan), "--out", str(tmp_path / "run1")]) == 0
+    plan = write_plan(tmp_path, [data], model_config=None)
     assert main([
         "train", "--plan", str(plan), "--out", str(tmp_path / "run2"),
         "--resume", str(tmp_path / "run1" / "checkpoint"),
@@ -205,6 +208,7 @@ def test_train_resume_malformed_training_state_exit_2(tmp_path, capsys, state, f
     assert main(["train", "--plan", str(plan), "--out", str(tmp_path / "run1")]) == 0
     state_path = tmp_path / "run1" / "checkpoint" / "training_state.json"
     state_path.write_text(json.dumps(state))
+    plan = write_plan(tmp_path, [data], model_config=None)
     capsys.readouterr()
     code = main(["train", "--plan", str(plan), "--out", str(tmp_path / "run2"), "--resume", str(state_path.parent)])
     assert code == 2
@@ -257,7 +261,32 @@ def test_train_malformed_plan_field_exit_2(tmp_path, capsys, override, field):
     assert main(["train", "--plan", str(plan), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert str(plan) in err and field in err
-    assert not (tmp_path / "run" / "metrics.csv").exists()
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, override, named", [
+    ("train", {}, "{plan}: model_config"),
+    ("ablate", {}, "{plan}: model_config"),
+    ("ablate", {"model_config": None, "teacher": None}, "{plan}: ablate needs a teacher"),
+    ("ablate", {"model_config": None, "teacher": "/nonexistent-teacher"}, "/nonexistent-teacher/config.json"),
+], ids=["train-resume-model-config", "ablate-model-config", "ablate-no-teacher", "ablate-missing-teacher"])
+def test_plan_beside_a_start_checkpoint_exit_2(tmp_path, capsys, command, override, named):
+    # The model is the start checkpoint's, and ablate's teacher is the plan's: a
+    # plan field the run would ignore, or a teacher it cannot load, exits 2.
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_model(ModelConfig.from_json(tiny_model_config(tmp_path)), seed=0), ckpt)
+    teacher = {"teacher": str(ckpt)} if command == "ablate" else {}
+    plan = write_plan(tmp_path, [write_toy_canonical(tmp_path)], **{**teacher, **override})
+    out = tmp_path / "run"
+    argv = {
+        "train": ["train", "--plan", str(plan), "--resume", str(ckpt), "--out", str(out)],
+        "ablate": ["ablate", "--plan", str(plan), "--checkpoint", str(ckpt), "--tasks", str(write_tasks(tmp_path)),
+                   "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert named.format(plan=plan) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("change, field", [
@@ -366,6 +395,7 @@ def _reading(tmp_path, data, command, kind):
     """(argv, the file argv reads as kind) beside the trained run's checkpoint."""
     ckpt, out, bad = tmp_path / "run" / "checkpoint", str(tmp_path / "out"), tmp_path / f"bad-{kind}"
     train = lambda data=data, **plan: ["train", "--plan", str(write_plan(tmp_path, [data], **plan)), "--out", out]
+    resume = lambda: train(model_config=None) + ["--resume", str(ckpt)]
     evaluate = lambda tasks: ["eval", "--checkpoint", str(ckpt), "--tasks", str(tasks)]
     return {
         ("consolidate", "raw"): lambda: (["consolidate", "--input", str(bad), "--out", out], bad),
@@ -373,8 +403,8 @@ def _reading(tmp_path, data, command, kind):
         ("train", "canonical"): lambda: (train(data=bad), bad),
         ("train", "instructions"): lambda: (train(stage=2, instructions=str(bad)), bad),
         ("train", "model config"): lambda: (train(model_config=str(bad)), bad),
-        ("train", "training state"): lambda: (train() + ["--resume", str(ckpt)], ckpt / "training_state.json"),
-        ("train", "resume weights"): lambda: (train() + ["--resume", str(ckpt)], ckpt / "weights.bin"),
+        ("train", "training state"): lambda: (resume(), ckpt / "training_state.json"),
+        ("train", "resume weights"): lambda: (resume(), ckpt / "weights.bin"),
         ("eval", "tasks"): lambda: (evaluate(bad), bad),
         ("eval", "checkpoint config"): lambda: (evaluate(write_tasks(tmp_path)), ckpt / "config.json"),
         ("eval", "manifest"): lambda: (evaluate(write_tasks(tmp_path)), ckpt / "manifest.json"),
@@ -593,10 +623,12 @@ def test_train_non_finite_exit_3(tmp_path, capsys):
     ckpt = tmp_path / "run" / "checkpoint"
     n_floats = len((ckpt / "weights.bin").read_bytes()) // 4
     (ckpt / "weights.bin").write_bytes(np.full(n_floats, np.nan, dtype="<f4").tobytes())
+    plan = write_plan(tmp_path, [data], model_config=None)
     with np.errstate(all="ignore"):
         code = main(["train", "--plan", str(plan), "--out", str(tmp_path / "run2"), "--resume", str(ckpt)])
     assert code == 3
     assert "step" in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists()
 
 
 # --- param-count ------------------------------------------------------------------
@@ -683,19 +715,18 @@ def test_main_keeps_freed_step_memory_in_the_process(tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("prune", "--calib-size", "-1"),
     ("prune", "--calib-size", "0"),
-    ("ablate", "--calib-size", "-1"),
     ("ablate", "--replicates", "0"),
 ])
 def test_count_flag_below_one_exit_2_naming_the_flag(trained_run, capsys, command, flag, value):
     # Before any work: a negative --calib-size reached rng.sample's message, which
-    # names no flag, and --replicates 0 pruned, trained nothing and exited 0.
+    # names no flag, and --replicates 0 trained nothing and exited 0.
     tmp_path, data = trained_run
     ckpt, out = str(tmp_path / "run" / "checkpoint"), tmp_path / "out"
-    sizes = ["--target-hidden", "8", "--target-mlp", "12", "--target-layers", "1", "--out", str(out)]
     argv = {
-        "prune": ["prune", "--checkpoint", ckpt, "--calibration", str(data)],
-        "ablate": ["ablate", "--teacher", ckpt, "--plan", str(tmp_path / "plan.json"), "--tasks", str(write_tasks(tmp_path))],
-    }[command] + sizes + [flag, value]
+        "prune": ["prune", "--checkpoint", ckpt, "--calibration", str(data),
+                  "--target-hidden", "8", "--target-mlp", "12", "--target-layers", "1"],
+        "ablate": ["ablate", "--plan", str(tmp_path / "plan.json"), "--checkpoint", ckpt, "--tasks", str(write_tasks(tmp_path))],
+    }[command] + ["--out", str(out), flag, value]
     capsys.readouterr()
     with pytest.raises(SystemExit) as exit_:
         main(argv)
@@ -738,16 +769,27 @@ def test_sweep_mrl_dims_that_are_not_integers_exit_2_naming_the_flag(tmp_path, c
 
 
 def test_ablate_smoke(tmp_path):
+    # prune, then ablate from the pruned checkpoint: each replicate is
+    # ablation_distill on that checkpoint, the plan's teacher and the plan.
     data = write_toy_canonical(tmp_path, n=16, n_clusters=4, seed=2)
     plan = write_plan(tmp_path, [data], mrl_dims=[8, 16], seed=5)
     assert main(["train", "--plan", str(plan), "--out", str(tmp_path / "teacher")]) == 0
+    teacher, pruned = tmp_path / "teacher" / "checkpoint", tmp_path / "pruned" / "checkpoint"
+    assert main([
+        "prune", "--checkpoint", str(teacher), "--calibration", str(data), "--calib-size", "8",
+        "--target-hidden", "8", "--target-mlp", "12", "--target-layers", "1", "--out", str(pruned.parent),
+    ]) == 0
+    plan = write_plan(tmp_path, [data], mrl_dims=[8], seed=5, teacher=str(teacher), model_config=None)
     tasks = write_tasks(tmp_path)
     assert main([
-        "ablate", "--teacher", str(tmp_path / "teacher" / "checkpoint"), "--plan", str(plan),
-        "--tasks", str(tasks), "--target-hidden", "8", "--target-mlp", "12", "--target-layers", "1",
-        "--calib-size", "8", "--replicates", "1", "--out", str(tmp_path / "ablation"),
+        "ablate", "--plan", str(plan), "--checkpoint", str(pruned), "--tasks", str(tasks),
+        "--replicates", "1", "--out", str(tmp_path / "ablation"),
     ]) == 0
     report = json.loads((tmp_path / "ablation" / "ablation.json").read_text())
-    assert report["replicate_count"] == 1
-    rep = report["replicates"][0]
-    assert abs(rep["delta"] - (rep["with_distillation"] - rep["without_distillation"])) < 1e-12
+    student_plan = StagePlan(stage=1, learning_rate=1e-3, epochs=1, batch_size=4, seed=5,
+                             loss=LossConfig(mrl_dims=(8,), temperature=0.05, distill_weight=1.0))
+    batches = epoch_batches(read_samples(data), 4, random.Random(5 + 1000), 1)
+    want = ev.ablation_distill(
+        load_checkpoint(pruned), load_checkpoint(teacher, trainable=False), batches, student_plan, ev.load_tasks(tasks)
+    )
+    assert report == {"replicates": [want], "positive_delta_count": int(want["delta"] > 0), "replicate_count": 1}

@@ -121,6 +121,20 @@ def test_norms_bitwise_equal_one_sequence_at_a_time_on_mixed_lengths(layers):
     np.testing.assert_array_equal(got.layer_norm_change, delta)
 
 
+def test_norm_change_adds_per_sequence_partials_in_calibration_order():
+    # Token embeddings scaled by 2^-30 .. 2^30 give norm changes whose float64
+    # partials round when added, so the total depends on the order of the
+    # sequences: a pairwise reduce of the partials (sum_slices over a layout
+    # whose axis 0 is contiguous) would not give the in-order total.
+    model = init_model(CFG, seed=11)
+    rng = np.random.default_rng(2)
+    calib = [list(map(int, rng.integers(0, 256, size=int(n)))) for n in rng.integers(1, 48, size=40)]
+    model.params["token_embedding"].values *= 2.0 ** rng.integers(-30, 31, size=(CFG.vocab_size, 1)).astype(np.float32)
+    _, _, delta = one_sequence_at_a_time_norms(model, calib)
+    assert not np.array_equal(one_sequence_at_a_time_norms(model, calib[::-1])[2], delta)
+    np.testing.assert_array_equal(tp.collect_activation_norms(model, calib).layer_norm_change, delta)
+
+
 TEACHER_CFG = ModelConfig(hidden_size=64, mlp_intermediate_size=256, num_layers=4, num_heads=4,
                           num_kv_heads=2, head_dim=16, vocab_size=258, max_seq_len=48)
 

@@ -8,7 +8,9 @@ parameters of every function, method and lambda other than self and cls
 (positional and keyword-only; a *args or **kwargs catch-all is not counted),
 plus the annotated fields of every class body (dataclass fields). The last
 row is the total. The line count is what ``wc -l`` reports, so blank lines,
-comments and docstrings count.
+comments and docstrings count. Then it prints the command-line flags: the
+``add_argument`` calls per subcommand of ``cli.build_parser`` (each call is
+counted after the ``add_parser`` call it follows), and their total.
 """
 
 import ast
@@ -28,6 +30,21 @@ def settable_values(tree: ast.AST) -> int:
     return count
 
 
+def cli_flags(tree: ast.AST) -> dict[str, int]:
+    """add_argument calls per subcommand, in build_parser's order."""
+    build = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "build_parser")
+    flags: dict[str, int] = {}
+    for stmt in build.body:  # in source order
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "add_parser":
+                    command = node.args[0].value
+                    flags[command] = 0
+                elif node.func.attr == "add_argument":
+                    flags[command] += 1
+    return flags
+
+
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
     rows = []
@@ -39,6 +56,12 @@ def main() -> int:
     for name, lines, values in rows:
         print(f"{name:<{width}}  {lines:>6}  {values:>8}")
     print(f"{'total':<{width}}  {sum(r[1] for r in rows):>6}  {sum(r[2] for r in rows):>8}")
+    flags = cli_flags(ast.parse((root / "src" / "tinyembed" / "cli.py").read_text(encoding="utf-8")))
+    width = max(map(len, flags))
+    print(f"\n{'subcommand':<{width}}  {'flags':>5}")
+    for command, count in flags.items():
+        print(f"{command:<{width}}  {count:>5}")
+    print(f"{'total':<{width}}  {sum(flags.values()):>5}")
     return 0
 
 
